@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint race bench bench-smoke bench-serve persist-smoke cluster-smoke chaos-smoke chaos-soak
+.PHONY: all build test lint race bench-smoke persist-smoke cluster-smoke chaos-smoke chaos-soak
 
 all: build test
 
@@ -11,34 +11,23 @@ test:
 	$(GO) test ./...
 
 # lint runs cmd/vbslint — the in-repo invariant analyzers (errwrap,
-# ctxclient, poolescape, lockio, atomicfaults) plus go vet — over the
-# whole tree, tests included; staticcheck rides along when installed.
+# ctxclient, poolescape, lockio, atomicfaults, metricreg) plus go vet —
+# over the whole tree, tests included; staticcheck rides along when
+# installed.
 lint:
 	$(GO) run ./cmd/vbslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
+# race is the one list of packages run under the race detector; CI
+# calls this target instead of keeping its own copy.
 race:
-	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/
-
-# bench runs the decode scoreboard benchmarks and refreshes the
-# committed perf baseline BENCH_decode.json (benchmark name -> ns/op,
-# MB/s, B/op, allocs/op). Commit the refreshed file with perf PRs so
-# the repo keeps a trajectory.
-# Two steps (not a pipeline) so a failing benchmark run cannot
-# silently overwrite the baseline with partial results.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$|BenchmarkParallelDecode$$' -benchmem -count=1 . > bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_decode.json < bench.out
-	rm -f bench.out
+	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/ ./internal/fabric/ ./internal/arch/ ./internal/bits/
 
 # bench-smoke is the CI guard: every decode benchmark must still run.
+# Performance numbers come from `go run ./bench` (see BENCHMARK.json and
+# bench/README.md), not from here.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$|BenchmarkParallelDecode$$' -benchtime 1x .
-
-# bench-serve refreshes the committed serve-path baseline
-# BENCH_serve.json with a vbsload mix against a real daemon.
-bench-serve:
-	./scripts/bench_serve.sh
 
 # persist-smoke proves the vbsd -data-dir durability loop against a
 # real daemon and a SIGKILL (see scripts/persistence_smoke.sh).

@@ -1,10 +1,12 @@
 // Command vbsload drives load at a vbsd daemon or vbsgw gateway
 // (both speak the same API) and reports serve-path throughput and
-// latency percentiles — the serving-side counterpart of the decode
-// benchmarks (committed baseline: BENCH_serve.json).
+// latency percentiles. It is the traffic source of the smoke and
+// chaos scripts and an ad-hoc probe of a running fleet; the repo's
+// committed performance numbers come from `go run ./bench` (the
+// workloads declared in BENCHMARK.json), not from vbsload.
 //
 //	vbsload -url http://localhost:8930 -workers 8 -ops 500 -mix 20:60:20
-//	vbsload -url http://localhost:8931 -duration 10s -json > BENCH_serve.json
+//	vbsload -url http://localhost:8931 -duration 10s -json > report.json
 //
 // The op mix is load:get:unload percentages. Before the run, vbsload
 // asks GET /fabrics for the target's channel width and LUT size and

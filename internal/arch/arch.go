@@ -210,6 +210,16 @@ func (p Params) CondInW(t int) Cond { p.checkTrack(t); return Cond(2*p.W + t) }
 // CondInS returns the conductor of the south neighbour's vertical wire t.
 func (p Params) CondInS(t int) Cond { p.checkTrack(t); return Cond(3*p.W + t) }
 
+// CondWire returns the conductor of wire kind k (HW, VW, InW or InS) on
+// track t: the inverse of CondInfo for channel wires.
+func (p Params) CondWire(k CondKind, t int) Cond {
+	if k < KindHW || k > KindInS {
+		panic(fmt.Sprintf("arch: %v is not a wire kind", k))
+	}
+	p.checkTrack(t)
+	return Cond(int(k)*p.W + t)
+}
+
 // CondPin returns the conductor of logic-block pin wire p.
 func (p Params) CondPin(pin int) Cond {
 	if pin < 0 || pin >= p.L() {

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -463,6 +464,93 @@ func TestQuickComponentsRespectSwitches(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refCondUsed is the adjacency walk CondUsed replaced: conductor c is
+// used when any switch touching it reads on.
+func refCondUsed(m *MacroConfig, c Cond) bool {
+	for _, nb := range m.Params().Adjacency(c) {
+		if m.SwitchOn(nb.Switch) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCondUsedMatchesAdjacencyWalk: over random configurations — sparse
+// and dense, set switch by switch and raw bit by raw bit (a junction
+// reads on with any one of its bits set) — the masked CondUsed agrees
+// with the adjacency walk on every conductor, and KindUsed is the OR
+// over the conductors of that kind. Logic bits alone use nothing.
+func TestCondUsedMatchesAdjacencyWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, p := range []Params{Default(), PaperExample()} {
+		for trial := 0; trial < 200; trial++ {
+			m := NewMacroConfig(p)
+			for i := 0; i < p.NLB(); i++ {
+				m.Vec().Set(i, rng.Intn(2) == 0)
+			}
+			switch density := trial % 4; density {
+			case 0: // logic only
+			case 1: // a handful of whole switches
+				for n := rng.Intn(6) + 1; n > 0; n-- {
+					m.SetSwitch(rng.Intn(p.NumSwitches()), true)
+				}
+			case 2: // a handful of single raw routing bits
+				for n := rng.Intn(6) + 1; n > 0; n-- {
+					m.Vec().Set(p.NLB()+rng.Intn(p.NRaw()-p.NLB()), true)
+				}
+			default: // dense
+				for i := p.NLB(); i < p.NRaw(); i++ {
+					m.Vec().Set(i, rng.Intn(3) == 0)
+				}
+			}
+			var kindWant [KindPin + 1]bool
+			for c := Cond(0); int(c) < p.NumConds(); c++ {
+				want := refCondUsed(m, c)
+				if got := m.CondUsed(c); got != want {
+					t.Fatalf("%v trial %d: CondUsed(%s) = %v, adjacency walk = %v",
+						p, trial, p.CondName(c), got, want)
+				}
+				k, _ := p.CondInfo(c)
+				kindWant[k] = kindWant[k] || want
+			}
+			for k, want := range kindWant {
+				if got := m.KindUsed(CondKind(k)); got != want {
+					t.Fatalf("%v trial %d: KindUsed(%v) = %v, OR over conductors = %v",
+						p, trial, CondKind(k), got, want)
+				}
+			}
+			// A clone and a wrapped vector answer like the original.
+			wrapped, err := MacroConfigFromVec(p, m.Vec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := Cond(rng.Intn(p.NumConds()))
+			if m.Clone().CondUsed(c) != m.CondUsed(c) || wrapped.CondUsed(c) != m.CondUsed(c) {
+				t.Fatalf("%v trial %d: Clone/FromVec disagree on CondUsed(%s)", p, trial, p.CondName(c))
+			}
+		}
+	}
+}
+
+func TestCondWire(t *testing.T) {
+	p := PaperExample()
+	for tr := 0; tr < p.W; tr++ {
+		for k, want := range map[CondKind]Cond{
+			KindHW: p.CondHW(tr), KindVW: p.CondVW(tr), KindInW: p.CondInW(tr), KindInS: p.CondInS(tr),
+		} {
+			if got := p.CondWire(k, tr); got != want {
+				t.Errorf("CondWire(%v, %d) = %d, want %d", k, tr, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CondWire(KindPin) should panic")
+		}
+	}()
+	p.CondWire(KindPin, 0)
 }
 
 func TestSwitchKindString(t *testing.T) {

@@ -61,10 +61,18 @@ type Neighbor struct {
 	Cond Cond
 }
 
-// graph caches the derived switch list and adjacency for a Params value.
+// graph caches what is derived from a Params value: the switch list,
+// the adjacency, and the word masks that answer "is this conductor
+// used" with an AND over the configuration instead of a switch walk.
 type graph struct {
+	p        Params
 	switches []Switch
 	adj      [][]Neighbor // indexed by Cond
+	// condMask[c] has every raw bit of every switch touching conductor c.
+	condMask []*bits.Vec
+	// kindMask[k] is the union of condMask over the conductors of kind k
+	// (for the four wire kinds: one side of the macro).
+	kindMask [KindPin + 1]*bits.Vec
 }
 
 var graphCache sync.Map // Params -> *graph
@@ -82,7 +90,10 @@ func (p Params) buildGraph() *graph {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	g := &graph{adj: make([][]Neighbor, p.NumConds())}
+	g := &graph{p: p, adj: make([][]Neighbor, p.NumConds()), condMask: make([]*bits.Vec, p.NumConds())}
+	for c := range g.condMask {
+		g.condMask[c] = bits.NewVec(p.NRaw())
+	}
 	bit := p.NLB()
 
 	addSwitch := func(a, b Cond, nbits int, kind SwitchKind) {
@@ -93,6 +104,10 @@ func (p Params) buildGraph() *graph {
 		g.switches = append(g.switches, Switch{A: a, B: b, FirstBit: bit, NumBits: nbits, Kind: kind})
 		g.adj[a] = append(g.adj[a], Neighbor{Switch: idx, Cond: b})
 		g.adj[b] = append(g.adj[b], Neighbor{Switch: idx, Cond: a})
+		for i := 0; i < nbits; i++ {
+			g.condMask[a].Set(bit+i, true)
+			g.condMask[b].Set(bit+i, true)
+		}
 		bit += nbits
 	}
 
@@ -129,6 +144,13 @@ func (p Params) buildGraph() *graph {
 	if bit != p.NRaw() {
 		panic(fmt.Sprintf("arch: switch layout ends at bit %d, want NRaw=%d", bit, p.NRaw()))
 	}
+	for k := range g.kindMask {
+		g.kindMask[k] = bits.NewVec(p.NRaw())
+	}
+	for c, m := range g.condMask {
+		k, _ := p.CondInfo(Cond(c))
+		g.kindMask[k].Or(m)
+	}
 	return g
 }
 
@@ -161,15 +183,18 @@ func (p Params) SwitchBetween(a, b Cond) int {
 
 // MacroConfig is the raw configuration of one macro: NRaw bits in the
 // canonical layout (logic data first, then switch bits).
+//
+// A MacroConfig resolves its architecture's derived tables once, at
+// construction, so no query on it goes back through the per-Params cache.
 type MacroConfig struct {
-	p   Params
+	g   *graph
 	vec *bits.Vec
 }
 
 // NewMacroConfig returns an all-zero (fully disconnected, LUT=0)
 // configuration for the given architecture.
 func NewMacroConfig(p Params) *MacroConfig {
-	return &MacroConfig{p: p, vec: bits.NewVec(p.NRaw())}
+	return &MacroConfig{g: p.graph(), vec: bits.NewVec(p.NRaw())}
 }
 
 // MacroConfigFromVec wraps an existing NRaw-bit vector. The vector is
@@ -178,24 +203,24 @@ func MacroConfigFromVec(p Params, v *bits.Vec) (*MacroConfig, error) {
 	if v.Len() != p.NRaw() {
 		return nil, fmt.Errorf("arch: config has %d bits, want NRaw=%d", v.Len(), p.NRaw())
 	}
-	return &MacroConfig{p: p, vec: v}, nil
+	return &MacroConfig{g: p.graph(), vec: v}, nil
 }
 
 // Params returns the architecture this configuration belongs to.
-func (m *MacroConfig) Params() Params { return m.p }
+func (m *MacroConfig) Params() Params { return m.g.p }
 
 // Vec exposes the underlying bit vector (canonical layout).
 func (m *MacroConfig) Vec() *bits.Vec { return m.vec }
 
 // Clone returns an independent copy.
 func (m *MacroConfig) Clone() *MacroConfig {
-	return &MacroConfig{p: m.p, vec: m.vec.Clone()}
+	return &MacroConfig{g: m.g, vec: m.vec.Clone()}
 }
 
 // SetLogic stores the NLB logic bits (LUT truth table then FF enable).
 func (m *MacroConfig) SetLogic(logic *bits.Vec) {
-	if logic.Len() != m.p.NLB() {
-		panic(fmt.Sprintf("arch: logic data has %d bits, want NLB=%d", logic.Len(), m.p.NLB()))
+	if logic.Len() != m.g.p.NLB() {
+		panic(fmt.Sprintf("arch: logic data has %d bits, want NLB=%d", logic.Len(), m.g.p.NLB()))
 	}
 	for i := 0; i < logic.Len(); i++ {
 		m.vec.Set(i, logic.Get(i))
@@ -204,7 +229,7 @@ func (m *MacroConfig) SetLogic(logic *bits.Vec) {
 
 // Logic extracts the NLB logic bits as a fresh vector.
 func (m *MacroConfig) Logic() *bits.Vec {
-	out := bits.NewVec(m.p.NLB())
+	out := bits.NewVec(m.g.p.NLB())
 	for i := 0; i < out.Len(); i++ {
 		out.Set(i, m.vec.Get(i))
 	}
@@ -214,7 +239,7 @@ func (m *MacroConfig) Logic() *bits.Vec {
 // SetSwitch turns logical switch idx on or off, driving every raw bit
 // of the switch.
 func (m *MacroConfig) SetSwitch(idx int, on bool) {
-	sw := m.p.Switches()[idx]
+	sw := m.g.switches[idx]
 	for b := 0; b < sw.NumBits; b++ {
 		m.vec.Set(sw.FirstBit+b, on)
 	}
@@ -223,7 +248,7 @@ func (m *MacroConfig) SetSwitch(idx int, on bool) {
 // SwitchOn reports whether logical switch idx is on (any of its bits
 // set).
 func (m *MacroConfig) SwitchOn(idx int) bool {
-	sw := m.p.Switches()[idx]
+	sw := m.g.switches[idx]
 	for b := 0; b < sw.NumBits; b++ {
 		if m.vec.Get(sw.FirstBit + b) {
 			return true
@@ -232,11 +257,25 @@ func (m *MacroConfig) SwitchOn(idx int) bool {
 	return false
 }
 
+// CondUsed reports whether any switch touching conductor c is on — the
+// question seam analysis asks of every boundary wire. It is one masked
+// AND over the configuration words, equivalent to walking Adjacency(c)
+// with SwitchOn.
+func (m *MacroConfig) CondUsed(c Cond) bool {
+	return m.vec.Intersects(m.g.condMask[c])
+}
+
+// KindUsed reports whether CondUsed holds for any conductor of kind k;
+// for a wire kind, whether the macro touches that side's channel at all.
+func (m *MacroConfig) KindUsed(k CondKind) bool {
+	return m.vec.Intersects(m.g.kindMask[k])
+}
+
 // OnSwitches returns the indices of all switches currently on, in
 // canonical order.
 func (m *MacroConfig) OnSwitches() []int {
 	var on []int
-	for i := range m.p.Switches() {
+	for i := range m.g.switches {
 		if m.SwitchOn(i) {
 			on = append(on, i)
 		}
@@ -248,22 +287,22 @@ func (m *MacroConfig) OnSwitches() []int {
 // NLB..NRaw) into a fresh vector of NRaw-NLB bits. This is the payload
 // stored verbatim by the VBS raw-fallback coding.
 func (m *MacroConfig) RoutingBits() *bits.Vec {
-	n := m.p.NRaw() - m.p.NLB()
+	n := m.g.p.NRaw() - m.g.p.NLB()
 	out := bits.NewVec(n)
 	for i := 0; i < n; i++ {
-		out.Set(i, m.vec.Get(m.p.NLB()+i))
+		out.Set(i, m.vec.Get(m.g.p.NLB()+i))
 	}
 	return out
 }
 
 // SetRoutingBits installs a routing payload produced by RoutingBits.
 func (m *MacroConfig) SetRoutingBits(v *bits.Vec) {
-	n := m.p.NRaw() - m.p.NLB()
+	n := m.g.p.NRaw() - m.g.p.NLB()
 	if v.Len() != n {
 		panic(fmt.Sprintf("arch: routing payload has %d bits, want %d", v.Len(), n))
 	}
 	for i := 0; i < n; i++ {
-		m.vec.Set(m.p.NLB()+i, v.Get(i))
+		m.vec.Set(m.g.p.NLB()+i, v.Get(i))
 	}
 }
 
@@ -273,7 +312,7 @@ func (m *MacroConfig) SetRoutingBits(v *bits.Vec) {
 // isolated conductors map to themselves. This is the electrical
 // equivalence the de-virtualization feedback loop compares.
 func (m *MacroConfig) Components() []Cond {
-	n := m.p.NumConds()
+	n := m.g.p.NumConds()
 	parent := make([]Cond, n)
 	for i := range parent {
 		parent[i] = Cond(i)
@@ -296,7 +335,7 @@ func (m *MacroConfig) Components() []Cond {
 		}
 		parent[rb] = ra // smaller index becomes the root
 	}
-	for i, sw := range m.p.Switches() {
+	for i, sw := range m.g.switches {
 		if m.SwitchOn(i) {
 			union(sw.A, sw.B)
 		}

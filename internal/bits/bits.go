@@ -246,6 +246,22 @@ func (v *Vec) Equal(o *Vec) bool {
 	return true
 }
 
+// Intersects reports whether v&o has any set bit. Both vectors must
+// have the same length. This is the placement layer's "is any of these
+// switches on" primitive: o is a precomputed mask over a macro
+// configuration.
+func (v *Vec) Intersects(o *Vec) bool {
+	if v.n != o.n {
+		panic("bits: Intersects on vectors of different length")
+	}
+	for i, w := range v.words {
+		if w&o.words[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Or sets v to v|o. Both vectors must have the same length.
 func (v *Vec) Or(o *Vec) {
 	if v.n != o.n {

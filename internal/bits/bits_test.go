@@ -409,3 +409,48 @@ func TestOrAtOutOfRangePanics(t *testing.T) {
 	}()
 	NewVec(64).OrAt(NewVec(10), 60)
 }
+
+// TestIntersectsMatchesBitLoop checks the word-level AND-any against
+// the per-bit reference, over lengths on both sides of word boundaries
+// so the last word's spare bits are exercised, and with a hit confined
+// to the very last bit.
+func TestIntersectsMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 600; trial++ {
+		n := []int{0, 1, 63, 64, 65, 127, 128, 129, 1004}[trial%9]
+		if trial >= 300 {
+			n = rng.Intn(400)
+		}
+		a, b := NewVec(n), NewVec(n)
+		// Sparse vectors, so both verdicts occur.
+		for i := 0; i < n; i++ {
+			a.Set(i, rng.Intn(8) == 0)
+			b.Set(i, rng.Intn(8) == 0)
+		}
+		if trial%4 == 0 && n > 0 {
+			a.Clear()
+			a.Set(n-1, true)
+		}
+		want := false
+		for i := 0; i < n; i++ {
+			if a.Get(i) && b.Get(i) {
+				want = true
+			}
+		}
+		if got := a.Intersects(b); got != want {
+			t.Fatalf("trial %d (len %d): Intersects = %v, bit loop = %v", trial, n, got, want)
+		}
+		if a.Intersects(b) != b.Intersects(a) {
+			t.Fatalf("trial %d: Intersects is not symmetric", trial)
+		}
+	}
+}
+
+func TestIntersectsLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Intersects on different lengths should panic")
+		}
+	}()
+	NewVec(64).Intersects(NewVec(65))
+}

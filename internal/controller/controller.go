@@ -218,15 +218,14 @@ func (c *Controller) Task(id fabric.TaskID) (*Task, bool) {
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	tasks := len(c.tasks)
-	used := c.fab.UsedMacros()
-	occ := c.fab.Occupancy()
-	total := c.fab.Grid().NumMacros()
+	free := c.fab.FreeMacros()
 	c.mu.Unlock()
+	total := c.fab.Grid().NumMacros()
 	return Stats{
 		Tasks:       tasks,
-		FreeMacros:  total - used,
+		FreeMacros:  free,
 		TotalMacros: total,
-		Occupancy:   occ,
+		Occupancy:   float64(total-free) / float64(total),
 		Loads:       c.loads.Load(),
 		Unloads:     c.unloads.Load(),
 		Relocations: c.relocations.Load(),
@@ -526,18 +525,4 @@ func (c *Controller) writeDecoded(d *Decoded, x0, y0 int) {
 			raw.At(baseX+mi, baseY+mj).Vec().Or(cfg.Vec())
 		}
 	}
-}
-
-// DecodeParallel de-virtualizes every entry of the VBS concurrently
-// and returns the raw per-entry configurations, indexed like
-// v.Entries.
-//
-// Deprecated: use Decode (or the package-level DecodeVBS) which wraps
-// the result in a reusable Decoded.
-func (c *Controller) DecodeParallel(v *core.VBS) ([][]*arch.MacroConfig, error) {
-	d, err := c.Decode(v)
-	if err != nil {
-		return nil, err
-	}
-	return d.cfgs, nil
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/devirt"
 	"repro/internal/fabric"
+	"repro/internal/loadgen"
+	"repro/internal/sched"
 )
 
 // feedthroughTask hand-builds a w×h-macro VBS in which every macro
@@ -115,4 +117,64 @@ func BenchmarkFragmentedLoad(b *testing.B) {
 	}
 	b.Run("dryrun", run((*Controller).LoadDecoded))
 	b.Run("writescan", run(loadWriteScan))
+}
+
+// smallDecoded decodes the eight loadgen containers (seeds 1..8) the
+// serve benchmarks load, for the default architecture.
+func smallDecoded(tb testing.TB) []*Decoded {
+	tb.Helper()
+	p := arch.Default()
+	out := make([]*Decoded, 8)
+	for i := range out {
+		data, err := loadgen.GenTask(int64(i+1), p.W, p.K)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		v, err := core.Parse(data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if out[i], err = DecodeVBS(v, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}
+
+// BenchmarkPlaceWarm is the placement share of a warm load as the
+// daemon pays it: a 64×64 default-architecture fabric with seven of the
+// eight small containers resident; one iteration ranks the fabric
+// (Stats), places the eighth under the default policy and unloads the
+// oldest resident task.
+func BenchmarkPlaceWarm(b *testing.B) {
+	decs := smallDecoded(b)
+	f, err := fabric.New(arch.Default(), arch.Grid{Width: 64, Height: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := New(f, 1)
+	pol := sched.Default()
+	var resident []fabric.TaskID
+	for i := 0; i < 7; i++ {
+		t, err := c.LoadDecodedPolicy(decs[i], pol)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resident = append(resident, t.ID)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Stats().FreeMacros == 0 {
+			b.Fatal("fabric full")
+		}
+		t, err := c.LoadDecodedPolicy(decs[(i+7)%8], pol)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Unload(resident[0]); err != nil {
+			b.Fatal(err)
+		}
+		resident = append(resident[1:], t.ID)
+	}
 }

@@ -24,6 +24,9 @@ type Fabric struct {
 	g     arch.Grid
 	raw   *bitstream.Raw
 	owner []TaskID
+	// free counts the NoTask entries of owner; Allocate and Release are
+	// the only writers of either.
+	free int
 }
 
 // New returns a blank fabric.
@@ -34,7 +37,7 @@ func New(p arch.Params, g arch.Grid) (*Fabric, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{p: p, g: g, raw: bitstream.New(p, g), owner: make([]TaskID, g.NumMacros())}
+	f := &Fabric{p: p, g: g, raw: bitstream.New(p, g), owner: make([]TaskID, g.NumMacros()), free: g.NumMacros()}
 	for i := range f.owner {
 		f.owner[i] = NoTask
 	}
@@ -88,6 +91,7 @@ func (f *Fabric) Allocate(id TaskID, x0, y0, w, h int) error {
 			f.owner[f.g.Index(x, y)] = id
 		}
 	}
+	f.free -= w * h
 	return nil
 }
 
@@ -103,6 +107,7 @@ func (f *Fabric) Release(id TaskID) int {
 		f.raw.Configs[i].Vec().Clear()
 		n++
 	}
+	f.free += n
 	return n
 }
 
@@ -142,46 +147,11 @@ func (f *Fabric) FitsRect(x0, y0, w, h int, except TaskID) bool {
 	return true
 }
 
-// FindSlot scans row-major for the first free w×h rectangle, returning
-// its origin or ok=false.
-func (f *Fabric) FindSlot(w, h int) (x0, y0 int, ok bool) {
-	if w > f.g.Width || h > f.g.Height {
-		return 0, 0, false
-	}
-	for y := 0; y+h <= f.g.Height; y++ {
-		for x := 0; x+w <= f.g.Width; x++ {
-			if f.rectFree(x, y, w, h) {
-				return x, y, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
-func (f *Fabric) rectFree(x0, y0, w, h int) bool {
-	for x := x0; x < x0+w; x++ {
-		for y := y0; y < y0+h; y++ {
-			if f.owner[f.g.Index(x, y)] != NoTask {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // FreeMacros returns the number of unowned macros.
-func (f *Fabric) FreeMacros() int {
-	n := 0
-	for _, o := range f.owner {
-		if o == NoTask {
-			n++
-		}
-	}
-	return n
-}
+func (f *Fabric) FreeMacros() int { return f.free }
 
 // UsedMacros returns the number of task-owned macros.
-func (f *Fabric) UsedMacros() int { return f.g.NumMacros() - f.FreeMacros() }
+func (f *Fabric) UsedMacros() int { return f.g.NumMacros() - f.free }
 
 // Occupancy returns the owned fraction of the fabric in [0, 1] — the
 // figure a runtime manager balances placement decisions on.
@@ -189,21 +159,31 @@ func (f *Fabric) Occupancy() float64 {
 	return float64(f.UsedMacros()) / float64(f.g.NumMacros())
 }
 
-// condUsed reports whether the configuration of macro (x, y) has any
-// on switch touching local conductor c.
-func (f *Fabric) condUsed(x, y int, c arch.Cond) bool {
-	return f.condUsedIn(f.raw.At(x, y), c)
+// seam is one of the four boundaries of a task rectangle: the wire kind
+// the boundary macro inside the rectangle sees, the kind the same wires
+// have in the facing macro outside it, and the offset to that macro.
+type seam struct {
+	in, out arch.CondKind
+	dx, dy  int
 }
 
-// condUsedIn reports whether cfg has any on switch touching local
-// conductor c.
-func (f *Fabric) condUsedIn(cfg *arch.MacroConfig, c arch.Cond) bool {
-	for _, nb := range f.p.Adjacency(c) {
-		if cfg.SwitchOn(nb.Switch) {
-			return true
-		}
-	}
-	return false
+var (
+	eastSeam  = seam{arch.KindHW, arch.KindInW, 1, 0}
+	westSeam  = seam{arch.KindInW, arch.KindHW, -1, 0}
+	northSeam = seam{arch.KindVW, arch.KindInS, 0, 1}
+	southSeam = seam{arch.KindInS, arch.KindVW, 0, -1}
+)
+
+// contended reports whether track t of the seam is used on both sides.
+func (f *Fabric) contended(s seam, in, out *arch.MacroConfig, t int) bool {
+	return in.CondUsed(f.p.CondWire(s.in, t)) && out.CondUsed(f.p.CondWire(s.out, t))
+}
+
+// conflictText is the one wording of a contended wire, shared by the
+// live and the dry-run analysis.
+func (f *Fabric) conflictText(c arch.Cond, x, y int, ida, idb TaskID) string {
+	return fmt.Sprintf("wire %s of macro (%d,%d) contended by tasks %d and %d",
+		f.p.CondName(c), x, y, ida, idb)
 }
 
 // SeamConflicts inspects the wires crossing the rectangle's boundary
@@ -211,34 +191,45 @@ func (f *Fabric) condUsedIn(cfg *arch.MacroConfig, c arch.Cond) bool {
 // different owners. Channel wires physically extend one macro past a
 // task edge, so two abutting tasks can contend for the same wire; the
 // runtime manager calls this after writing a task's configuration.
+// Both sides are read from the live configuration plane.
 func (f *Fabric) SeamConflicts(x0, y0, w, h int) []string {
 	var out []string
-	id := func(x, y int) TaskID { return f.OwnerAt(x, y) }
-	// East seam: wires HW(x0+w-1, y, t) reach into column x0+w.
 	for y := y0; y < y0+h; y++ {
-		for t := 0; t < f.p.W; t++ {
-			f.seamCheck(&out, x0+w-1, y, f.p.CondHW(t), x0+w, y, f.p.CondInW(t), id)
-		}
+		f.liveSeam(&out, x0+w-1, y, eastSeam)
 	}
-	// West seam: wires HW(x0-1, y, t) reach into column x0.
 	for y := y0; y < y0+h; y++ {
-		for t := 0; t < f.p.W; t++ {
-			f.seamCheck(&out, x0, y, f.p.CondInW(t), x0-1, y, f.p.CondHW(t), id)
-		}
+		f.liveSeam(&out, x0, y, westSeam)
 	}
-	// North seam.
 	for x := x0; x < x0+w; x++ {
-		for t := 0; t < f.p.W; t++ {
-			f.seamCheck(&out, x, y0+h-1, f.p.CondVW(t), x, y0+h, f.p.CondInS(t), id)
-		}
+		f.liveSeam(&out, x, y0+h-1, northSeam)
 	}
-	// South seam.
 	for x := x0; x < x0+w; x++ {
-		for t := 0; t < f.p.W; t++ {
-			f.seamCheck(&out, x, y0, f.p.CondInS(t), x, y0-1, f.p.CondVW(t), id)
-		}
+		f.liveSeam(&out, x, y0, southSeam)
 	}
 	return out
+}
+
+// liveSeam appends the contended tracks between boundary macro (ax, ay)
+// and the macro facing it across s. The W-track loop runs only when
+// both macros touch that side's channel at all.
+func (f *Fabric) liveSeam(out *[]string, ax, ay int, s seam) {
+	bx, by := ax+s.dx, ay+s.dy
+	if !f.g.Contains(ax, ay) || !f.g.Contains(bx, by) {
+		return
+	}
+	ida, idb := f.owner[f.g.Index(ax, ay)], f.owner[f.g.Index(bx, by)]
+	if ida == idb {
+		return
+	}
+	a, b := f.raw.At(ax, ay), f.raw.At(bx, by)
+	if !a.KindUsed(s.in) || !b.KindUsed(s.out) {
+		return
+	}
+	for t := 0; t < f.p.W; t++ {
+		if f.contended(s, a, b, t) {
+			*out = append(*out, f.conflictText(f.p.CondWire(s.in, t), ax, ay, ida, idb))
+		}
+	}
 }
 
 // CandidateSeamConflicts runs the seam analysis of SeamConflicts for a
@@ -255,9 +246,7 @@ func (f *Fabric) SeamConflicts(x0, y0, w, h int) []string {
 func (f *Fabric) CandidateSeamConflicts(as TaskID, x0, y0, w, h int, cfgAt func(dx, dy int) *arch.MacroConfig) []string {
 	var out []string
 	f.scanCandidateSeams(as, x0, y0, w, h, cfgAt, func(ax, ay int, ac arch.Cond, idb TaskID) bool {
-		out = append(out, fmt.Sprintf(
-			"wire %s of macro (%d,%d) contended by tasks %d and %d",
-			f.p.CondName(ac), ax, ay, as, idb))
+		out = append(out, f.conflictText(ac, ax, ay, as, idb))
 		return false
 	})
 	return out
@@ -276,62 +265,63 @@ func (f *Fabric) HasCandidateSeamConflict(as TaskID, x0, y0, w, h int, cfgAt fun
 	return found
 }
 
+// candidateSeam is one boundary macro of a hypothetical placement paired
+// with the live macro facing it. The zero value (in == nil) stands for
+// a seam on which no track can be contended.
+type candidateSeam struct {
+	s       seam
+	ax, ay  int
+	in, out *arch.MacroConfig
+	idb     TaskID
+}
+
 // scanCandidateSeams walks the four seams of the hypothetical
 // placement and calls emit for every contended wire; emit returning
-// true stops the scan.
+// true stops the scan. Boundary macros are visited as (east, west) per
+// row, then (north, south) per column, tracks interleaved within a pair.
 func (f *Fabric) scanCandidateSeams(as TaskID, x0, y0, w, h int, cfgAt func(dx, dy int) *arch.MacroConfig, emit func(ax, ay int, ac arch.Cond, idb TaskID) bool) {
-	check := func(ax, ay int, ac arch.Cond, bx, by int, bc arch.Cond) bool {
+	// pair resolves one seam of boundary macro (ax, ay): the inside
+	// endpoint reads the candidate configuration, the outside one the
+	// live plane. The W-track loop is worth running only when both
+	// touch that side's channel at all.
+	pair := func(ax, ay int, s seam) candidateSeam {
+		bx, by := ax+s.dx, ay+s.dy
 		if !f.g.Contains(ax, ay) || !f.g.Contains(bx, by) {
-			return false
+			return candidateSeam{}
 		}
-		idb := f.OwnerAt(bx, by)
+		idb := f.owner[f.g.Index(bx, by)]
 		if idb == as {
+			return candidateSeam{}
+		}
+		in, out := cfgAt(ax-x0, ay-y0), f.raw.At(bx, by)
+		if in == nil || !in.KindUsed(s.in) || !out.KindUsed(s.out) {
+			return candidateSeam{}
+		}
+		return candidateSeam{s, ax, ay, in, out, idb}
+	}
+	scan := func(pairs [2]candidateSeam) (stop bool) {
+		if pairs[0].in == nil && pairs[1].in == nil {
 			return false
 		}
-		cfg := cfgAt(ax-x0, ay-y0)
-		if cfg == nil {
-			return false
-		}
-		if f.condUsedIn(cfg, ac) && f.condUsed(bx, by, bc) {
-			return emit(ax, ay, ac, idb)
+		for t := 0; t < f.p.W; t++ {
+			for i := range pairs {
+				c := &pairs[i]
+				if c.in != nil && f.contended(c.s, c.in, c.out, t) &&
+					emit(c.ax, c.ay, f.p.CondWire(c.s.in, t), c.idb) {
+					return true
+				}
+			}
 		}
 		return false
 	}
-	// Same four seams as SeamConflicts; the inside endpoint always
-	// reads the candidate configuration.
 	for y := y0; y < y0+h; y++ {
-		for t := 0; t < f.p.W; t++ {
-			if check(x0+w-1, y, f.p.CondHW(t), x0+w, y, f.p.CondInW(t)) {
-				return
-			}
-			if check(x0, y, f.p.CondInW(t), x0-1, y, f.p.CondHW(t)) {
-				return
-			}
+		if scan([2]candidateSeam{pair(x0+w-1, y, eastSeam), pair(x0, y, westSeam)}) {
+			return
 		}
 	}
 	for x := x0; x < x0+w; x++ {
-		for t := 0; t < f.p.W; t++ {
-			if check(x, y0+h-1, f.p.CondVW(t), x, y0+h, f.p.CondInS(t)) {
-				return
-			}
-			if check(x, y0, f.p.CondInS(t), x, y0-1, f.p.CondVW(t)) {
-				return
-			}
+		if scan([2]candidateSeam{pair(x, y0+h-1, northSeam), pair(x, y0, southSeam)}) {
+			return
 		}
-	}
-}
-
-func (f *Fabric) seamCheck(out *[]string, ax, ay int, ac arch.Cond, bx, by int, bc arch.Cond, id func(int, int) TaskID) {
-	if !f.g.Contains(ax, ay) || !f.g.Contains(bx, by) {
-		return
-	}
-	ida, idb := id(ax, ay), id(bx, by)
-	if ida == idb {
-		return
-	}
-	if f.condUsed(ax, ay, ac) && f.condUsed(bx, by, bc) {
-		*out = append(*out, fmt.Sprintf(
-			"wire %s of macro (%d,%d) contended by tasks %d and %d",
-			f.p.CondName(ac), ax, ay, ida, idb))
 	}
 }

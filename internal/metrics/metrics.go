@@ -38,10 +38,11 @@ const (
 )
 
 // DefLatencyBuckets are the default latency histogram bounds, in
-// seconds: 500µs to 10s, roughly logarithmic. Loads pay a decode
-// (milliseconds) while cache-hit gets are microseconds, so the range
-// must span both.
+// seconds: 10µs to 10s, roughly logarithmic. Cold loads pay a decode
+// (milliseconds) while warm loads and cache-hit gets take tens of
+// microseconds, so the range must resolve both.
 var DefLatencyBuckets = []float64{
+	.00001, .000025, .00005, .0001, .00025,
 	.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
 }
 

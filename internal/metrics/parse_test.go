@@ -99,3 +99,43 @@ func TestQuantile(t *testing.T) {
 		t.Errorf("empty quantile = %v, want NaN", got)
 	}
 }
+
+// TestDefaultBucketsResolveWarmLatencies: a warm load (~90 µs) and a
+// slow one (~300 µs) must land in different default buckets, neither of
+// them the first, and the scrape-side p50 (what vbsload -scrape reports)
+// must sit below the old 500 µs floor instead of interpolating inside it.
+func TestDefaultBucketsResolveWarmLatencies(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramVec("vbs_test_op_seconds", "ops", nil, "op")
+	h.With("load").Observe(90e-6)
+	h.With("load").Observe(300e-6)
+	samples, err := Parse(strings.NewReader(r.Render()))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	bk := Buckets(samples, "vbs_test_op_seconds", map[string]string{"op": "load"})
+	if len(bk) != len(DefLatencyBuckets)+1 {
+		t.Fatalf("got %d buckets, want %d", len(bk), len(DefLatencyBuckets)+1)
+	}
+	first := func(n uint64) int {
+		for i, b := range bk {
+			if b.Count >= n {
+				return i
+			}
+		}
+		return -1
+	}
+	fast, slow := first(1), first(2)
+	if fast <= 0 || slow <= fast {
+		t.Errorf("90µs landed in bucket %d, 300µs in bucket %d; want distinct, non-first", fast, slow)
+	}
+	if bk[fast].Upper != 100e-6 || bk[slow].Upper != 500e-6 {
+		t.Errorf("bucket bounds %v and %v, want 100µs and 500µs", bk[fast].Upper, bk[slow].Upper)
+	}
+	if p50 := Quantile(0.5, bk); !(p50 > 50e-6 && p50 < 500e-6) {
+		t.Errorf("p50 = %v s, want inside (50µs, 500µs)", p50)
+	}
+	if top := DefLatencyBuckets[len(DefLatencyBuckets)-1]; top != 10 {
+		t.Errorf("top bound = %v s, want 10 (cold decodes)", top)
+	}
+}
