@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint race bench-smoke persist-smoke cluster-smoke chaos-smoke chaos-soak
+.PHONY: all build test lint race fuzz-smoke bench-smoke persist-smoke cluster-smoke chaos-smoke chaos-soak
 
 all: build test
 
@@ -23,11 +23,22 @@ lint:
 race:
 	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/ ./internal/fabric/ ./internal/arch/ ./internal/bits/
 
-# bench-smoke is the CI guard: every decode benchmark must still run.
+# fuzz-smoke gives every parser that reads a socket or a disk ten
+# seconds of coverage-guided fuzzing (go test -fuzz takes one target
+# and one package per run).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelopes$$' -fuzztime 10s ./internal/transport/
+
+# bench-smoke is the CI guard: every decode benchmark must still run —
+# the facade's, and the two on the bench's own mid containers.
 # Performance numbers come from `go run ./bench` (see BENCHMARK.json and
 # bench/README.md), not from here.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$|BenchmarkParallelDecode$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeMid$$' -benchtime 1x ./internal/controller/
+	$(GO) test -run '^$$' -bench 'BenchmarkParseMid$$' -benchtime 1x ./internal/core/
 
 # persist-smoke proves the vbsd -data-dir durability loop against a
 # real daemon and a SIGKILL (see scripts/persistence_smoke.sh).

@@ -20,7 +20,7 @@
 // "Derived" follows reference-typed values only: cfgs := rt.Configs()
 // and cfg := cfgs[i] alias pooled memory; n := cfg.N copies a scalar
 // and is always safe. Copying values out before Release — what
-// controller.DecodeVBS does for the decoded cache — is the sanctioned
+// core.VBS.DecodeEntryInto does with MergeMember — is the sanctioned
 // pattern and does not trip the analyzer.
 package poolescape
 

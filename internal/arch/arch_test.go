@@ -383,8 +383,10 @@ func TestRoutingBitsRoundTrip(t *testing.T) {
 	if payload.Len() != p.NRaw()-p.NLB() {
 		t.Fatalf("payload %d bits", payload.Len())
 	}
+	// The decoder installs a raw-fallback payload by OR-ing it in
+	// behind the logic bits.
 	m2 := NewMacroConfig(p)
-	m2.SetRoutingBits(payload)
+	m2.Vec().OrAt(payload, p.NLB())
 	if !m2.Vec().Equal(m.Vec()) {
 		t.Error("routing payload round-trip mismatch")
 	}

@@ -197,6 +197,20 @@ func NewMacroConfig(p Params) *MacroConfig {
 	return &MacroConfig{g: p.graph(), vec: bits.NewVec(p.NRaw())}
 }
 
+// MakeMacroConfigs returns n all-zero configurations carved out of
+// three allocations — the MacroConfig values, their Vecs and one
+// shared word array — for callers that build a whole grid or task at
+// once. Each element is an ordinary MacroConfig; take its address.
+func MakeMacroConfigs(p Params, n int) []MacroConfig {
+	g := p.graph()
+	vecs := bits.MakeVecs(n, p.NRaw())
+	out := make([]MacroConfig, n)
+	for i := range out {
+		out[i] = MacroConfig{g: g, vec: &vecs[i]}
+	}
+	return out
+}
+
 // MacroConfigFromVec wraps an existing NRaw-bit vector. The vector is
 // used directly, not copied.
 func MacroConfigFromVec(p Params, v *bits.Vec) (*MacroConfig, error) {
@@ -293,17 +307,6 @@ func (m *MacroConfig) RoutingBits() *bits.Vec {
 		out.Set(i, m.vec.Get(m.g.p.NLB()+i))
 	}
 	return out
-}
-
-// SetRoutingBits installs a routing payload produced by RoutingBits.
-func (m *MacroConfig) SetRoutingBits(v *bits.Vec) {
-	n := m.g.p.NRaw() - m.g.p.NLB()
-	if v.Len() != n {
-		panic(fmt.Sprintf("arch: routing payload has %d bits, want %d", v.Len(), n))
-	}
-	for i := 0; i < n; i++ {
-		m.vec.Set(m.g.p.NLB()+i, v.Get(i))
-	}
 }
 
 // Components returns the partition of the macro's conductors into

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // ErrOutOfBits is returned by Reader methods when the underlying buffer
@@ -143,13 +144,16 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 	if r.Remaining() < width {
 		return 0, ErrOutOfBits
 	}
+	// Byte at a time: the unread low bits of the current byte, cut to
+	// what the field still needs.
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	for n := width; n > 0; {
+		avail := 8 - r.pos%8
+		take := min(avail, n)
+		b := uint64(r.buf[r.pos/8]) >> uint(avail-take) & (1<<uint(take) - 1)
+		v = v<<uint(take) | b
+		r.pos += take
+		n -= take
 	}
 	return v, nil
 }
@@ -157,17 +161,37 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 // ReadBool consumes a single-bit flag.
 func (r *Reader) ReadBool() (bool, error) { return r.ReadBit() }
 
+// Skip consumes n bits without decoding them.
+func (r *Reader) Skip(n int) error {
+	if n < 0 || r.Remaining() < n {
+		return ErrOutOfBits
+	}
+	r.pos += n
+	return nil
+}
+
 // ReadVec consumes n bits into a fresh Vec.
 func (r *Reader) ReadVec(n int) (*Vec, error) {
 	if r.Remaining() < n {
 		return nil, ErrOutOfBits
 	}
 	v := NewVec(n)
-	for i := 0; i < n; i++ {
-		b, _ := r.ReadBit()
-		v.Set(i, b)
+	return v, r.ReadInto(v)
+}
+
+// ReadInto consumes v.Len() bits into v, overwriting its contents.
+// The stream is MSB-first and a Vec word holds bit i at position i%64,
+// so each 64-bit field is bit-reversed into its word.
+func (r *Reader) ReadInto(v *Vec) error {
+	if r.Remaining() < v.n {
+		return ErrOutOfBits
 	}
-	return v, nil
+	for i := range v.words {
+		n := min(64, v.n-64*i)
+		f, _ := r.ReadUint(n)
+		v.words[i] = bits.Reverse64(f) >> uint(64-n)
+	}
+	return nil
 }
 
 // Align skips forward to the next byte boundary.
@@ -192,8 +216,28 @@ func NewVec(n int) *Vec {
 	return &Vec{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// MakeVecs returns count all-zero vectors of n bits each, carved out of
+// two allocations (the Vec values and one shared word array) instead
+// of two per vector. Each element is an ordinary Vec; take its address
+// to use it.
+func MakeVecs(count, n int) []Vec {
+	if count < 0 || n < 0 {
+		panic("bits: negative MakeVecs size")
+	}
+	per := (n + 63) / 64
+	words := make([]uint64, count*per)
+	vecs := make([]Vec, count)
+	for i := range vecs {
+		vecs[i] = Vec{words: words[i*per : (i+1)*per : (i+1)*per], n: n}
+	}
+	return vecs
+}
+
 // Len returns the number of bits in the vector.
 func (v *Vec) Len() int { return v.n }
+
+// MemBytes returns the heap the vector occupies: its header and words.
+func (v *Vec) MemBytes() int { return int(unsafe.Sizeof(*v)) + 8*len(v.words) }
 
 // Get reports the value of bit i.
 func (v *Vec) Get(i int) bool {

@@ -454,3 +454,52 @@ func TestIntersectsLengthMismatchPanics(t *testing.T) {
 	}()
 	NewVec(64).Intersects(NewVec(65))
 }
+
+// TestMakeVecsReadIntoAtAnyOffset: vectors carved from one slab are
+// independent Vecs, and ReadInto fills them from any bit offset exactly
+// as a per-bit read would — spare bits of the last word stay zero, the
+// invariant OrAt and Equal rely on.
+func TestMakeVecsReadIntoAtAnyOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 3, 63, 64, 65, 128, 200} {
+		for off := 0; off < 9; off++ {
+			const count = 5
+			var w Writer
+			w.WriteUint(0, off)
+			want := make([]*Vec, count)
+			for i := range want {
+				want[i] = NewVec(n)
+				for b := 0; b < n; b++ {
+					want[i].Set(b, rng.Intn(2) == 1)
+				}
+				w.WriteVec(want[i])
+			}
+			w.WriteUint(0x5, 3) // trailing field: reads must not overrun
+			r := NewReader(w.Bytes())
+			if err := r.Skip(off); err != nil {
+				t.Fatal(err)
+			}
+			vecs := MakeVecs(count, n)
+			for i := range vecs {
+				if err := r.ReadInto(&vecs[i]); err != nil {
+					t.Fatalf("n=%d off=%d vec %d: %v", n, off, i, err)
+				}
+			}
+			for i := range vecs {
+				if !vecs[i].Equal(want[i]) || vecs[i].OnesCount() != want[i].OnesCount() {
+					t.Fatalf("n=%d off=%d vec %d: %s, want %s", n, off, i, &vecs[i], want[i])
+				}
+			}
+			if tail, err := r.ReadUint(3); err != nil || tail != 0x5 {
+				t.Fatalf("n=%d off=%d: trailing field %d, %v", n, off, tail, err)
+			}
+		}
+	}
+	r := NewReader([]byte{0xff})
+	if err := r.Skip(9); err != ErrOutOfBits {
+		t.Errorf("Skip past end: %v", err)
+	}
+	if err := r.ReadInto(NewVec(9)); err != ErrOutOfBits {
+		t.Errorf("ReadInto past end: %v", err)
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/bitstream"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sched"
@@ -42,100 +43,82 @@ var ErrRestoreFailed = errors.New("relocation failed and restore impossible")
 // (unlike, say, an architecture mismatch) has a chance of fixing.
 var ErrNoSlot = errors.New("no conflict-free slot")
 
-// Decoded is a de-virtualized Virtual Bit-Stream: the per-entry member
-// configurations produced by the parallel decoder, still abstracted
-// from any fabric position. A Decoded is immutable after creation and
-// may be shared freely — loading only reads it — so it is the unit the
-// daemon's decoded-bitstream cache stores.
+// Decoded is a de-virtualized Virtual Bit-Stream: the task's raw
+// configuration on its own w×h grid, still abstracted from any fabric
+// position. A Decoded is immutable after creation and may be shared
+// freely — loading only reads it — so it is the unit the daemon's
+// decoded-bitstream cache stores.
 type Decoded struct {
 	// VBS is the source container.
 	VBS *core.VBS
-	// cfgs is indexed like VBS.Entries; each element holds the
-	// region's member configurations in row-major member order.
-	cfgs [][]*arch.MacroConfig
-
-	// grid memoizes the task-relative macro view of cfgs for dry-run
-	// admission; built on first use, safe under concurrent sharing.
-	gridOnce sync.Once
-	grid     []*arch.MacroConfig
+	// raw is the task footprint. Only the macros some entry configures
+	// have a configuration; the rest are nil, so a load neither writes
+	// nor seam-checks them. It never leaves this package.
+	raw *bitstream.Raw
+	// members counts the configured macros.
+	members int
 }
 
 // ConfigAt returns the decoded configuration of task-relative macro
 // (dx, dy), or nil outside the task footprint (or for a macro no entry
 // configures). The returned config must not be mutated.
 func (d *Decoded) ConfigAt(dx, dy int) *arch.MacroConfig {
-	v := d.VBS
-	if dx < 0 || dy < 0 || dx >= v.TaskW || dy >= v.TaskH {
+	if !d.raw.G.Contains(dx, dy) {
 		return nil
 	}
-	d.gridOnce.Do(d.buildGrid)
-	return d.grid[dy*v.TaskW+dx]
-}
-
-// buildGrid flattens the per-entry member configs into one
-// task-footprint grid, merging (OR) if entries ever overlap a macro —
-// the same composition writeDecoded applies to the fabric.
-func (d *Decoded) buildGrid() {
-	v := d.VBS
-	g := make([]*arch.MacroConfig, v.TaskW*v.TaskH)
-	for i := range v.Entries {
-		e := &v.Entries[i]
-		cw, _ := v.RegionDims(e.X, e.Y)
-		for m, cfg := range d.cfgs[i] {
-			dx := e.X*v.Cluster + m%cw
-			dy := e.Y*v.Cluster + m/cw
-			idx := dy*v.TaskW + dx
-			if g[idx] == nil {
-				g[idx] = cfg
-			} else {
-				merged := g[idx].Clone()
-				merged.Vec().Or(cfg.Vec())
-				g[idx] = merged
-			}
-		}
-	}
-	d.grid = g
+	return d.raw.At(dx, dy)
 }
 
 // SizeBits returns the footprint of the decoded configurations (the
 // raw bits a load writes), used for cache accounting.
-func (d *Decoded) SizeBits() int {
-	n := 0
-	for _, regs := range d.cfgs {
-		for range regs {
-			n += d.VBS.P.NRaw()
-		}
-	}
-	return n
-}
+func (d *Decoded) SizeBits() int { return d.members * d.VBS.P.NRaw() }
 
 // DecodeVBS de-virtualizes every entry of the VBS concurrently with
-// the given worker count (0 selects GOMAXPROCS), through
-// core.VBS.EachEntryParallel — the same fan-out the in-place decoders
-// use. Each worker draws region routers from the shape-keyed pool and
-// copies the decoded member configurations out before releasing the
-// router (the Configs ownership contract), so the Decoded it builds
-// owns its bits outright and may be cached and shared freely. The
-// result is deterministic regardless of worker count. DecodeVBS needs
-// no fabric: it is the cache-friendly entry point shared by every
-// controller.
+// the given worker count (0 selects GOMAXPROCS) onto a blank grid
+// exactly the task's size, through core.VBS.DecodeIntoParallel — the
+// decoder everything else uses, so the Decoded owns its bits outright
+// (pooled routers merge into it and are released) and may be cached
+// and shared freely. The result is deterministic regardless of worker
+// count. DecodeVBS needs no fabric: it is the cache-friendly entry
+// point shared by every controller.
 func DecodeVBS(v *core.VBS, workers int) (*Decoded, error) {
 	if err := v.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("controller: %w", err)
 	}
-	cfgs := make([][]*arch.MacroConfig, len(v.Entries))
-	err := v.EachEntryParallel(workers, func(i int) error {
-		out, err := v.DecodeEntry(i)
-		if err != nil {
-			return fmt.Errorf("controller: entry %d: %w", i, err)
+	d := blankDecoded(v)
+	if err := v.DecodeIntoParallel(d.raw, 0, 0, workers); err != nil {
+		return nil, fmt.Errorf("controller: %w", err)
+	}
+	return d, nil
+}
+
+// blankDecoded lays out the all-off Decoded of a valid VBS: a grid the
+// task's size with a configuration under every member of every entry
+// (entries cover disjoint regions), all carved out of one slab, so a
+// decoded task is five heap objects whatever its size. Only tasks are
+// built this way. A fabric plane keeps bitstream.New's one object per
+// macro: folded into slabs, the two 64×64 planes halve the collector's
+// scan work on an otherwise small heap, the mutator assists that end a
+// mark phase promptly on two CPUs go with it, and the warm service
+// floor's round tail (batch_p99_ms) spreads three times as wide.
+func blankDecoded(v *core.VBS) *Decoded {
+	g := arch.Grid{Width: v.TaskW, Height: v.TaskH}
+	d := &Decoded{VBS: v, raw: &bitstream.Raw{P: v.P, G: g, Configs: make([]*arch.MacroConfig, g.NumMacros())}}
+	for i := range v.Entries {
+		cw, ch := v.RegionDims(v.Entries[i].X, v.Entries[i].Y)
+		d.members += cw * ch
+	}
+	slab := arch.MakeMacroConfigs(v.P, d.members)
+	k := 0
+	for i := range v.Entries {
+		e := &v.Entries[i]
+		cw, ch := v.RegionDims(e.X, e.Y)
+		for m := 0; m < cw*ch; m++ {
+			d.raw.Configs[g.Index(e.X*v.Cluster+m%cw, e.Y*v.Cluster+m/cw)] = &slab[k]
+			k++
 		}
-		cfgs[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &Decoded{VBS: v, cfgs: cfgs}, nil
+	return d
 }
 
 // Controller manages tasks on one fabric. All exported methods are
@@ -513,16 +496,13 @@ func (c *Controller) Compact() (moved int, err error) {
 // configuration at (x0, y0). It only reads the Decoded, so one Decoded
 // may serve many concurrent loads across fabrics. Callers hold c.mu.
 func (c *Controller) writeDecoded(d *Decoded, x0, y0 int) {
-	v := d.VBS
 	raw := c.fab.Config()
-	for i := range v.Entries {
-		e := &v.Entries[i]
-		cw, _ := v.RegionDims(e.X, e.Y)
-		baseX := x0 + e.X*v.Cluster
-		baseY := y0 + e.Y*v.Cluster
-		for m, cfg := range d.cfgs[i] {
-			mi, mj := m%cw, m/cw
-			raw.At(baseX+mi, baseY+mj).Vec().Or(cfg.Vec())
+	g := d.raw.G
+	for dy := 0; dy < g.Height; dy++ {
+		for dx := 0; dx < g.Width; dx++ {
+			if cfg := d.raw.At(dx, dy); cfg != nil {
+				raw.At(x0+dx, y0+dy).Vec().Or(cfg.Vec())
+			}
 		}
 	}
 }

@@ -653,3 +653,43 @@ func TestCompactPropagatesRestoreFailure(t *testing.T) {
 	}
 	_ = a
 }
+
+// TestDecodedHoldsOnlyEntryMembers pins what a load writes and
+// seam-checks: a Decoded has a configuration exactly under the members
+// of its entries, nil under footprint macros no entry configures, and
+// is charged to the cache for those members only. The small bench
+// containers are sparse (c=1, absent entries), the mid-style task is
+// clustered with truncated edge regions.
+func TestDecodedHoldsOnlyEntryMembers(t *testing.T) {
+	decs := append(smallDecoded(t), nil)
+	var err error
+	if decs[8], err = DecodeVBS(makeTask(t, 12, 10, 5, 8, 2), 2); err != nil {
+		t.Fatal(err)
+	}
+	sparse := false
+	for i, d := range decs {
+		v := d.VBS
+		covered := make(map[[2]int]bool)
+		for k := range v.Entries {
+			e := &v.Entries[k]
+			cw, ch := v.RegionDims(e.X, e.Y)
+			for m := 0; m < cw*ch; m++ {
+				covered[[2]int{e.X*v.Cluster + m%cw, e.Y*v.Cluster + m/cw}] = true
+			}
+		}
+		for dy := -1; dy <= v.TaskH; dy++ {
+			for dx := -1; dx <= v.TaskW; dx++ {
+				if got := d.ConfigAt(dx, dy) != nil; got != covered[[2]int{dx, dy}] {
+					t.Fatalf("task %d: ConfigAt(%d,%d) present = %v, covered = %v", i, dx, dy, got, !got)
+				}
+			}
+		}
+		if want := len(covered) * v.P.NRaw(); d.SizeBits() != want {
+			t.Errorf("task %d: SizeBits = %d, want %d (%d members)", i, d.SizeBits(), want, len(covered))
+		}
+		sparse = sparse || len(covered) < v.TaskW*v.TaskH
+	}
+	if !sparse {
+		t.Error("no task leaves a footprint macro unconfigured: the nil case went untested")
+	}
+}

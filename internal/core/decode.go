@@ -69,7 +69,7 @@ func (v *VBS) DecodeIntoParallel(target *bitstream.Raw, x0, y0, workers int) err
 	if err := v.checkTarget(target, x0, y0); err != nil {
 		return err
 	}
-	return v.EachEntryParallel(workers, func(i int) error {
+	return v.eachEntryParallel(workers, func(i int) error {
 		if err := v.DecodeEntryInto(i, target, x0, y0); err != nil {
 			return fmt.Errorf("core: entry %d at region (%d,%d): %w",
 				i, v.Entries[i].X, v.Entries[i].Y, err)
@@ -94,14 +94,13 @@ func (v *VBS) checkTarget(target *bitstream.Raw, x0, y0 int) error {
 	return nil
 }
 
-// EachEntryParallel runs fn for every entry index, distributing the
+// eachEntryParallel runs fn for every entry index, distributing the
 // calls over the given worker count (0 selects GOMAXPROCS). Entries
 // decode independently (the property Section II-C calls out), so this
-// is the fan-out shared by whole-task parallel decodes here and by the
-// runtime controller's Decoded builder. When several entries fail, the
-// error of the lowest entry index is returned, so the outcome does not
-// depend on scheduling.
-func (v *VBS) EachEntryParallel(workers int, fn func(i int) error) error {
+// is the fan-out of every whole-task parallel decode. When several
+// entries fail, the error of the lowest entry index is returned, so
+// the outcome does not depend on scheduling.
+func (v *VBS) eachEntryParallel(workers int, fn func(i int) error) error {
 	n := len(v.Entries)
 	if n == 0 {
 		return nil
@@ -176,8 +175,8 @@ func (v *VBS) Warm() error {
 // switch words, logic payloads and raw fallback payloads are OR-ed
 // word-level into the target macros' bit vectors through a pooled
 // region router — no per-entry member configurations are
-// materialized. This is the decode hot path: the whole-task decoders
-// and the parallel controller both run on it.
+// materialized. This is the one decode path: the whole-task decoders
+// here and the controller's position-free Decoded all run on it.
 //
 // The caller is responsible for the placement rectangle being inside
 // the target (DecodeInto checks it once for the whole task).
@@ -223,54 +222,6 @@ func (v *VBS) DecodeEntryInto(i int, target *bitstream.Raw, x0, y0 int) error {
 		target.At(baseX+mi, baseY+j).Vec().OrAt(li.Data, 0)
 	}
 	return nil
-}
-
-// DecodeEntry decodes one entry in isolation and returns the region's
-// member configurations (row-major, actual members only), freshly
-// allocated — the pooled router's state is copied out before the
-// router is released, per the Configs ownership contract. This is the
-// materializing variant the controller's position-free Decoded cache
-// is built from; the in-place hot path is DecodeEntryInto.
-func (v *VBS) DecodeEntry(i int) ([]*arch.MacroConfig, error) {
-	if i < 0 || i >= len(v.Entries) {
-		return nil, fmt.Errorf("core: entry %d out of range", i)
-	}
-	e := &v.Entries[i]
-	cw, ch := v.RegionDims(e.X, e.Y)
-	cfgs := make([]*arch.MacroConfig, cw*ch)
-	for m := range cfgs {
-		cfgs[m] = arch.NewMacroConfig(v.P)
-	}
-	switch {
-	case e.Raw:
-		if len(e.RawBits) != cw*ch {
-			return nil, fmt.Errorf("core: entry %d raw payload count %d, want %d", i, len(e.RawBits), cw*ch)
-		}
-		for m := range cfgs {
-			cfgs[m].SetRoutingBits(e.RawBits[m])
-		}
-	case len(e.Conns) > 0:
-		rt, err := devirt.AcquireRouter(v.Region(e.X, e.Y), false, false)
-		if err != nil {
-			return nil, err
-		}
-		if err := routeEntry(rt, e); err != nil {
-			rt.Release()
-			return nil, err
-		}
-		for m := range cfgs {
-			rt.MergeMember(m, cfgs[m].Vec())
-		}
-		rt.Release()
-	}
-	for _, li := range e.Logic {
-		j, mi := li.Member/v.Cluster, li.Member%v.Cluster
-		if mi >= cw || j >= ch {
-			return nil, fmt.Errorf("core: logic member %d outside %dx%d region", li.Member, cw, ch)
-		}
-		cfgs[j*cw+mi].SetLogic(li.Data)
-	}
-	return cfgs, nil
 }
 
 // routeEntry replays entry e's connection list on rt. Endpoint

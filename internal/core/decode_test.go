@@ -8,8 +8,8 @@ import (
 )
 
 // TestDecodeVariantsBitIdentical: every decode path — sequential
-// in-place, parallel at several worker counts, entry-materializing
-// (DecodeEntry), and repeated decodes reusing the same pooled routers —
+// in-place, parallel at several worker counts, and repeated decodes
+// reusing the same pooled routers —
 // must produce exactly the same bits, across cluster sizes including
 // ones that truncate edge regions. This is the decoder-side equivalence
 // property of the zero-allocation hot path.
@@ -43,24 +43,6 @@ func TestDecodeVariantsBitIdentical(t *testing.T) {
 			if !again.Equal(ref) {
 				t.Fatalf("cluster %d round %d: repeated decode differs", cluster, round)
 			}
-		}
-		// The materializing entry decoder must agree with the in-place
-		// one, entry by entry.
-		grid := arch.Grid{Width: v.TaskW, Height: v.TaskH}
-		fromEntries := bitstream.New(v.P, grid)
-		for i := range v.Entries {
-			e := &v.Entries[i]
-			cfgs, err := v.DecodeEntry(i)
-			if err != nil {
-				t.Fatalf("cluster %d entry %d: %v", cluster, i, err)
-			}
-			cw, _ := v.RegionDims(e.X, e.Y)
-			for m, cfg := range cfgs {
-				fromEntries.At(e.X*v.Cluster+m%cw, e.Y*v.Cluster+m/cw).Vec().Or(cfg.Vec())
-			}
-		}
-		if !fromEntries.Equal(ref) {
-			t.Fatalf("cluster %d: DecodeEntry composition differs from DecodeInto", cluster)
 		}
 	}
 }

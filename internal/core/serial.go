@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	mathbits "math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/bits"
@@ -77,6 +78,17 @@ func (v *VBS) Encode() ([]byte, error) {
 }
 
 // Parse reads a VBS container produced by Encode.
+//
+// The payload is walked twice. The first walk decodes only the fields
+// that say how long the next one is, and so learns — from bits proven
+// to be present — how many connections, logic payloads and raw
+// payloads the container holds. The second walk fills flat backing
+// arrays of exactly those sizes: one []Entry, one []Conn, one
+// []LogicItem and one bits.MakeVecs slab per payload width, which the
+// entries' slices and Data pointers are cut from. Nothing is allocated
+// before the first walk has succeeded, so a container cannot make
+// Parse allocate for payload it does not carry, and a parsed VBS is a
+// handful of heap objects however many entries it has.
 func Parse(data []byte) (*VBS, error) {
 	if len(data) < 13 || string(data[:4]) != vbsMagic {
 		return nil, fmt.Errorf("core: bad magic")
@@ -118,75 +130,167 @@ func Parse(data []byte) (*VBS, error) {
 	if count > uint64(v.RegionsW()*v.RegionsH()) {
 		return nil, fmt.Errorf("core: entry count %d exceeds region count", count)
 	}
-	c := v.Cluster
-	for i := 0; i < int(count); i++ {
-		var e Entry
-		x, err := r.ReadUint(v.RegionCoordBits())
-		if err != nil {
-			return nil, fmt.Errorf("core: entry %d: %w", i, err)
-		}
-		y, err := r.ReadUint(v.RegionCoordBits())
-		if err != nil {
-			return nil, fmt.Errorf("core: entry %d: %w", i, err)
-		}
-		e.X, e.Y = int(x), int(y)
-		if e.X >= v.RegionsW() || e.Y >= v.RegionsH() {
-			return nil, fmt.Errorf("core: entry %d position (%d,%d) out of range", i, e.X, e.Y)
-		}
-		present := make([]bool, c*c)
-		for m := range present {
-			b, err := r.ReadBool()
-			if err != nil {
-				return nil, fmt.Errorf("core: entry %d bitmap: %w", i, err)
-			}
-			present[m] = b
-		}
-		for m, p := range present {
-			if !p {
-				continue
-			}
-			data, err := r.ReadVec(v.P.NLB())
-			if err != nil {
-				return nil, fmt.Errorf("core: entry %d logic: %w", i, err)
-			}
-			e.Logic = append(e.Logic, LogicItem{Member: m, Data: data})
-		}
-		raw, err := r.ReadBool()
-		if err != nil {
-			return nil, fmt.Errorf("core: entry %d mode: %w", i, err)
-		}
-		e.Raw = raw
-		if raw {
-			cw, ch := v.RegionDims(e.X, e.Y)
-			for m := 0; m < cw*ch; m++ {
-				rb, err := r.ReadVec(v.P.NRaw() - v.P.NLB())
-				if err != nil {
-					return nil, fmt.Errorf("core: entry %d raw payload: %w", i, err)
-				}
-				e.RawBits = append(e.RawBits, rb)
-			}
-		} else {
-			n, err := r.ReadUint(v.RouteCountBits())
-			if err != nil {
-				return nil, fmt.Errorf("core: entry %d route count: %w", i, err)
-			}
-			m := v.MBits()
-			for k := 0; k < int(n); k++ {
-				in, err := r.ReadUint(m)
-				if err != nil {
-					return nil, fmt.Errorf("core: entry %d connection %d: %w", i, k, err)
-				}
-				out, err := r.ReadUint(m)
-				if err != nil {
-					return nil, fmt.Errorf("core: entry %d connection %d: %w", i, k, err)
-				}
-				e.Conns = append(e.Conns, Conn{In: devirt.IOCode(in), Out: devirt.IOCode(out)})
-			}
-		}
-		v.Entries = append(v.Entries, e)
+	w := v.widths()
+	n, err := v.measure(fields{r: *r}, w, int(count))
+	if err != nil {
+		return nil, err
+	}
+	if err := v.fill(fields{r: *r}, w, int(count), n); err != nil {
+		return nil, err
 	}
 	if err := v.Validate(); err != nil {
 		return nil, fmt.Errorf("core: parsed container invalid: %w", err)
 	}
 	return v, nil
+}
+
+// widths are the payload field widths of one container, computed once
+// per parse instead of once per field.
+type widths struct {
+	coord, members, logic, raw, routes, code int
+}
+
+func (v *VBS) widths() widths {
+	return widths{
+		coord:   v.RegionCoordBits(),
+		members: v.Cluster * v.Cluster,
+		logic:   v.P.NLB(),
+		raw:     v.P.NRaw() - v.P.NLB(),
+		routes:  v.RouteCountBits(),
+		code:    v.MBits(),
+	}
+}
+
+// payloadCounts sizes the flat arrays of a parsed container.
+type payloadCounts struct {
+	conns, logic, raw int
+}
+
+// fields reads payload fields with a sticky error: after the first
+// failure every read returns zero, and err/what keep what failed, so
+// the walks check once per entry instead of once per field.
+type fields struct {
+	r    bits.Reader
+	err  error
+	what string
+}
+
+func (f *fields) fail(err error, what string) {
+	if err != nil && f.err == nil {
+		f.err, f.what = err, what
+	}
+}
+
+func (f *fields) uint(width int, what string) uint64 {
+	if f.err != nil {
+		return 0
+	}
+	v, err := f.r.ReadUint(width)
+	f.fail(err, what)
+	return v
+}
+
+func (f *fields) bool(what string) bool { return f.uint(1, what) == 1 }
+
+func (f *fields) skip(n int, what string) {
+	if f.err == nil {
+		f.fail(f.r.Skip(n), what)
+	}
+}
+
+func (f *fields) vec(v *bits.Vec, what string) {
+	if f.err == nil {
+		f.fail(f.r.ReadInto(v), what)
+	}
+}
+
+// position reads and range-checks an entry's region coordinates.
+func (f *fields) position(v *VBS, w widths) (x, y int) {
+	x, y = int(f.uint(w.coord, "position")), int(f.uint(w.coord, "position"))
+	if f.err == nil && (x >= v.RegionsW() || y >= v.RegionsH()) {
+		f.fail(fmt.Errorf("(%d,%d) out of range", x, y), "position")
+	}
+	return x, y
+}
+
+// measure is the sizing walk: it steps over count entries, skipping
+// every payload, and returns how many connections, logic payloads and
+// raw payloads they carry. It fails exactly where the container is
+// short or an entry lies outside the task.
+func (v *VBS) measure(f fields, w widths, count int) (payloadCounts, error) {
+	var n payloadCounts
+	for i := 0; i < count; i++ {
+		x, y := f.position(v, w)
+		present := 0
+		for left := w.members; left > 0; left -= 64 {
+			present += mathbits.OnesCount64(f.uint(min(left, 64), "bitmap"))
+		}
+		n.logic += present
+		f.skip(present*w.logic, "logic")
+		if f.bool("mode") {
+			cw, ch := v.RegionDims(x, y)
+			n.raw += cw * ch
+			f.skip(cw*ch*w.raw, "raw payload")
+		} else {
+			k := int(f.uint(w.routes, "route count"))
+			n.conns += k
+			f.skip(k*2*w.code, "connections")
+		}
+		if f.err != nil {
+			return n, fmt.Errorf("core: entry %d %s: %w", i, f.what, f.err)
+		}
+	}
+	return n, nil
+}
+
+// fill is the second walk: it decodes count entries into flat arrays
+// sized by measure and installs them as v.Entries.
+func (v *VBS) fill(f fields, w widths, count int, n payloadCounts) error {
+	if count == 0 {
+		return nil
+	}
+	entries := make([]Entry, count)
+	conns := make([]Conn, 0, n.conns)
+	logic := make([]LogicItem, 0, n.logic)
+	logicVecs := bits.MakeVecs(n.logic, w.logic)
+	raws := make([]*bits.Vec, 0, n.raw)
+	rawVecs := bits.MakeVecs(n.raw, w.raw)
+	for i := range entries {
+		e := &entries[i]
+		e.X, e.Y = f.position(v, w)
+		first := len(logic)
+		for m := 0; m < w.members; m++ {
+			if f.bool("bitmap") {
+				logic = append(logic, LogicItem{Member: m, Data: &logicVecs[len(logic)]})
+			}
+		}
+		if len(logic) > first {
+			e.Logic = logic[first:len(logic):len(logic)]
+		}
+		for _, li := range e.Logic {
+			f.vec(li.Data, "logic")
+		}
+		if e.Raw = f.bool("mode"); e.Raw {
+			cw, ch := v.RegionDims(e.X, e.Y)
+			first := len(raws)
+			for m := 0; m < cw*ch; m++ {
+				rb := &rawVecs[len(raws)]
+				f.vec(rb, "raw payload")
+				raws = append(raws, rb)
+			}
+			e.RawBits = raws[first:len(raws):len(raws)]
+		} else if k := int(f.uint(w.routes, "route count")); k > 0 {
+			first := len(conns)
+			for ; k > 0; k-- {
+				in, out := f.uint(w.code, "connection"), f.uint(w.code, "connection")
+				conns = append(conns, Conn{In: devirt.IOCode(in), Out: devirt.IOCode(out)})
+			}
+			e.Conns = conns[first:len(conns):len(conns)]
+		}
+		if f.err != nil {
+			return fmt.Errorf("core: entry %d %s: %w", i, f.what, f.err)
+		}
+	}
+	v.Entries = entries
+	return nil
 }

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/bits"
@@ -229,6 +230,26 @@ func (v *VBS) RawSizeBits() int { return v.TaskW * v.TaskH * v.P.NRaw() }
 // better; 0.41 means the VBS is 41% of the raw size).
 func (v *VBS) CompressionRatio() float64 {
 	return float64(v.Size()) / float64(v.RawSizeBits())
+}
+
+// MemBytes returns the heap a parsed VBS keeps alive: the struct, its
+// entries and every connection, logic and raw payload behind them. It
+// is a pure function of the container's counts (Parse's flat layout
+// has no per-object slack to guess at), which is what lets a store
+// bound its memory by it.
+func (v *VBS) MemBytes() int {
+	n := int(unsafe.Sizeof(*v)) + len(v.Entries)*int(unsafe.Sizeof(Entry{}))
+	for i := range v.Entries {
+		e := &v.Entries[i]
+		n += len(e.Conns) * int(unsafe.Sizeof(Conn{}))
+		for _, li := range e.Logic {
+			n += int(unsafe.Sizeof(li)) + li.Data.MemBytes()
+		}
+		for _, rb := range e.RawBits {
+			n += int(unsafe.Sizeof(rb)) + rb.MemBytes()
+		}
+	}
+	return n
 }
 
 // CompressionFactor returns RawSizeBits/Size (the "2.5x" style figure).

@@ -8,8 +8,9 @@ import (
 
 // TestRouteSteadyStateAllocFree pins the zero-allocation property of
 // the decode hot path: once a pooled router's scratch has grown to its
-// working size, Reset + reserve + route must not allocate at all. A
-// regression here fails `go test ./...`, not just the benchmarks.
+// working size, Reset + edge flags + reserve + route must not allocate
+// at all — the step table is rewritten in place by every one of them.
+// A regression here fails `go test ./...`, not just the benchmarks.
 func TestRouteSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -29,6 +30,8 @@ func TestRouteSteadyStateAllocFree(t *testing.T) {
 	}
 	decode := func() {
 		rt.Reset()
+		rt.setEdges(true, true) // close and reopen: both rewrite step entries
+		rt.setEdges(false, false)
 		for _, p := range list {
 			if err := rt.Reserve(p[0]); err != nil {
 				t.Fatal(err)
@@ -58,8 +61,10 @@ func TestAcquireReleaseSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool deliberately drops items under -race")
 	}
 	r := Region{P: arch.PaperExample(), Nominal: 2, CW: 2, CH: 2}
+	closedS := false
 	cycle := func() {
-		rt, err := AcquireRouter(r, false, false)
+		closedS = !closedS // the pooled router's step table flips edges in place
+		rt, err := AcquireRouter(r, false, closedS)
 		if err != nil {
 			t.Fatal(err)
 		}

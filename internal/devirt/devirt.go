@@ -302,9 +302,10 @@ type regionGraph struct {
 	// code and codes outside the actual CW×CH shape. It removes the
 	// branchy side arithmetic from Reserve and RouteConnection.
 	codeCond []int32
-	// baseCost is the class traversal cost per conductor (the
-	// reservation penalty is added dynamically by the router).
-	baseCost []int32
+	// step is a blank router's step table on an open fabric: the class
+	// traversal cost per conductor, 0 for output pins (never a
+	// route-through). Routers copy it and keep their copy current.
+	step []int32
 }
 
 // condFor is the hot-path CondForCode: table lookup, -1 for any
@@ -411,15 +412,17 @@ func buildRegionGraph(r Region) *regionGraph {
 		}
 	}
 	// Precomputed per-conductor lookups for the router's hot loops.
-	g.baseCost = make([]int32, n)
+	g.step = make([]int32, n)
 	for c := 0; c < n; c++ {
 		switch g.class[c] {
 		case classBoundaryWire:
-			g.baseCost[c] = costBoundary
-		case classInputPin, classOutputPin:
-			g.baseCost[c] = costInputPin
+			g.step[c] = costBoundary
+		case classInputPin:
+			g.step[c] = costInputPin
+		case classOutputPin:
+			g.step[c] = 0 // output pins are driven by their LB
 		default:
-			g.baseCost[c] = costInternal
+			g.step[c] = costInternal
 		}
 	}
 	g.codeCond = make([]int32, r.NumIOCodes())

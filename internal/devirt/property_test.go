@@ -179,15 +179,7 @@ func (rt *refRouter) usable(c int) bool {
 }
 
 func (rt *refRouter) condCost(c int) int32 {
-	var base int32
-	switch rt.g.class[c] {
-	case classBoundaryWire:
-		base = costBoundary
-	case classInputPin, classOutputPin:
-		base = costInputPin
-	default:
-		base = costInternal
-	}
+	base := refBaseCost(rt.g.class[c])
 	if rt.reserved[c] {
 		base += costReserved
 	}

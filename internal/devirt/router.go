@@ -3,6 +3,7 @@ package devirt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bits"
@@ -37,16 +38,19 @@ const (
 type Router struct {
 	g *regionGraph
 	// closedW/closedS mark regions on the fabric's west/south edge,
-	// where the incoming boundary wires physically do not exist. open
-	// caches !closedW && !closedS so the search skips the edge check
-	// entirely in the common interior case.
+	// where the incoming boundary wires physically do not exist.
 	closedW, closedS bool
-	open             bool
 
 	owner    []int32 // conductor -> net id, -1 free
 	reserved []bool  // endpoint conductors of the connection list
-	nets     int32
-	configs  []*arch.MacroConfig // per member, switch bits only
+	// step is everything the search asks about stepping onto a
+	// conductor, in one load: 0 when it cannot be an intermediate
+	// (claimed, an output pin, or a wire on a closed fabric edge), else
+	// its traversal cost, costReserved included. claim, Reserve, Reset
+	// and setEdges keep it in line with owner/reserved/closed*.
+	step    []int32
+	nets    int32
+	configs []*arch.MacroConfig // per member, switch bits only
 
 	// Undo lists: every conductor claimed or reserved and every member
 	// whose config was touched since the last Reset, so Reset is
@@ -83,6 +87,7 @@ func NewRouter(r Region, closedW, closedS bool) (*Router, error) {
 		g:        g,
 		owner:    make([]int32, n),
 		reserved: make([]bool, n),
+		step:     slices.Clone(g.step),
 		configs:  make([]*arch.MacroConfig, r.Members()),
 		dirty:    make([]bool, r.Members()),
 		seenEp:   make([]int32, n),
@@ -101,10 +106,37 @@ func NewRouter(r Region, closedW, closedS bool) (*Router, error) {
 }
 
 // setEdges installs the fabric-edge flags (they vary per acquisition,
-// not per pooled router).
+// not per pooled router) on a blank router: the incoming wires of a
+// closed edge stop being steppable, those of a reopened edge go back
+// to their blank cost.
 func (rt *Router) setEdges(closedW, closedS bool) {
-	rt.closedW, rt.closedS = closedW, closedS
-	rt.open = !closedW && !closedS
+	r := rt.g.r
+	inW := r.Members() * r.perMember()
+	inS := inW + r.CH*r.P.W
+	if closedW != rt.closedW {
+		rt.closedW = closedW
+		rt.blankSteps(inW, inS)
+	}
+	if closedS != rt.closedS {
+		rt.closedS = closedS
+		rt.blankSteps(inS, len(rt.step))
+	}
+}
+
+// blankStep is conductor c's step on a blank router with the current
+// edge flags. Interior regions (both edges open, every pooled decode)
+// skip the edge arithmetic.
+func (rt *Router) blankStep(c int) int32 {
+	if (rt.closedW || rt.closedS) && !rt.usable(c) {
+		return 0
+	}
+	return rt.g.step[c]
+}
+
+func (rt *Router) blankSteps(from, to int) {
+	for c := from; c < to; c++ {
+		rt.step[c] = rt.blankStep(c)
+	}
 }
 
 // Region returns the router's region shape.
@@ -117,10 +149,12 @@ func (rt *Router) Region() Region { return rt.g.r }
 func (rt *Router) Reset() {
 	for _, c := range rt.claimed {
 		rt.owner[c] = -1
+		rt.step[c] = rt.blankStep(int(c))
 	}
 	rt.claimed = rt.claimed[:0]
 	for _, c := range rt.resList {
 		rt.reserved[c] = false
+		rt.step[c] = rt.blankStep(int(c))
 	}
 	rt.resList = rt.resList[:0]
 	for _, m := range rt.dirtyList {
@@ -146,6 +180,9 @@ func (rt *Router) Reserve(code IOCode) error {
 	if !rt.reserved[c] {
 		rt.reserved[c] = true
 		rt.resList = append(rt.resList, c)
+		if rt.step[c] != 0 {
+			rt.step[c] += costReserved
+		}
 	}
 	return nil
 }
@@ -167,6 +204,7 @@ func (rt *Router) usable(c int) bool {
 // claim assigns a free conductor to net and records the undo entry.
 func (rt *Router) claim(c int32, net int32) {
 	rt.owner[c] = net
+	rt.step[c] = 0
 	rt.claimed = append(rt.claimed, c)
 }
 
@@ -208,12 +246,22 @@ func (rt *Router) RouteConnection(in, out IOCode) error {
 
 // route runs deterministic Dijkstra from every conductor of net to the
 // target, through free conductors only. The frontier is a monotone
-// bucket queue (Dial's algorithm): conductor step costs are the small
-// constants 2/3/9(+64), so a circular window of numBuckets distances
-// covers every live entry, and the queue pops in exactly the
-// (distance, conductor) order the previous container/heap
-// implementation produced — without boxing an interface value per
-// frontier entry.
+// bucket queue (Dial's algorithm) popping in (distance, conductor)
+// order.
+//
+// The search stops the first time an edge reaches the target, without
+// queueing it. That is exact, not a heuristic: a step's cost depends
+// only on the conductor stepped onto, so every parent candidate p of
+// the target offers dist(p) + step(target), and the best parent is the
+// one with the smallest (dist, conductor) pair — which, pops being
+// monotone in exactly that pair, is the first one popped. Its first
+// edge to the target is the edge a full drain would have kept (later
+// offers are never strictly better), and the path behind it consists
+// of popped conductors, whose dist/par are final. Draining on until
+// the target itself pops cannot change the answer; it only costs, and
+// it used to cost the whole region graph per connection, because the
+// target — an endpoint, hence reserved — sat costReserved behind
+// every other reachable conductor.
 func (rt *Router) route(net int32, target int) error {
 	if rt.epoch == math.MaxInt32 {
 		// Epoch wrap: invalidate every stamp once, then restart.
@@ -235,46 +283,37 @@ func (rt *Router) route(net int32, target int) error {
 		rt.par[c] = -1
 		rt.bq.push(0, c)
 	}
-	g := rt.g
+	g, step, tgt := rt.g, rt.step, int32(target)
 	for {
-		c32, d, ok := rt.bq.pop()
+		c, d, ok := rt.bq.pop()
 		if !ok {
 			break
-		}
-		c := int(c32)
-		if c == target {
-			rt.commit(net, target)
-			return nil
 		}
 		if d > rt.dist[c] {
 			continue // stale entry
 		}
 		for k, end := g.adjOff[c], g.adjOff[c+1]; k < end; k++ {
 			e := &g.edges[k]
-			to := int(e.to)
-			if to != target {
-				if rt.owner[to] != -1 {
-					continue // claimed by some net (even ours: tree conductors are seeds)
-				}
-				if g.class[to] == classOutputPin {
-					continue // output pins are driven by their LB
-				}
-				if !rt.open && !rt.usable(to) {
-					continue
-				}
+			to := e.to
+			if to == tgt {
+				rt.par[to] = c
+				rt.parEdg[to] = *e
+				rt.commit(net, target)
+				return nil
 			}
-			nd := d + g.baseCost[to]
-			if rt.reserved[to] {
-				nd += costReserved
+			w := step[to]
+			if w == 0 {
+				continue // claimed (tree conductors are seeds), output pin or closed edge
 			}
+			nd := d + w
 			if rt.seenEp[to] == rt.epoch && nd >= rt.dist[to] {
 				continue
 			}
 			rt.seenEp[to] = rt.epoch
 			rt.dist[to] = nd
-			rt.par[to] = int32(c)
+			rt.par[to] = c
 			rt.parEdg[to] = *e
-			rt.bq.push(nd, e.to)
+			rt.bq.push(nd, to)
 		}
 	}
 	return fmt.Errorf("devirt: no path to conductor %d for net %d", target, net)

@@ -62,7 +62,7 @@ func newServerMetrics(s *Server) *metrics.Registry {
 
 	reg.GaugeFunc("vbs_store_entries", "VBS blobs resident in the RAM tier.",
 		func() float64 { return float64(s.store.Len()) })
-	reg.GaugeFunc("vbs_store_bytes", "Container bytes resident in the RAM tier.",
+	reg.GaugeFunc("vbs_store_bytes", "Bytes the RAM tier retains: containers plus their parsed form.",
 		func() float64 { return float64(s.store.Bytes()) })
 	reg.CounterFunc("vbs_store_demotions_total", "RAM evictions that left a blob disk-only.",
 		func() float64 { return float64(s.store.TierStats().Demotions) })

@@ -497,7 +497,7 @@ func (s *Server) loadOne(begin time.Time, data []byte, req LoadRequest) (LoadRes
 		TaskW:            ent.VBS.TaskW,
 		TaskH:            ent.VBS.TaskH,
 		Cached:           cached,
-		CompressionRatio: ent.VBS.CompressionRatio(),
+		CompressionRatio: ent.Ratio,
 		LoadMS:           float64(elapsed) / float64(time.Millisecond),
 		Compacted:        compacted,
 	}, 0, nil

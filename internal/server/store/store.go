@@ -60,6 +60,15 @@ type Entry struct {
 	VBS *core.VBS
 	// Data is the container as submitted.
 	Data []byte
+	// Ratio is VBS.CompressionRatio(), a walk over every entry, taken
+	// once at admission.
+	Ratio float64
+
+	mem int // what the RAM tier is charged: Data plus the parsed VBS
+}
+
+func newEntry(d Digest, v *core.VBS, data []byte) *Entry {
+	return &Entry{Digest: d, VBS: v, Data: data, Ratio: v.CompressionRatio(), mem: len(data) + v.MemBytes()}
 }
 
 // SizeBytes returns the container size.
@@ -83,15 +92,17 @@ type BlobStat struct {
 }
 
 // Store is a content-addressed VBS store, safe for concurrent use.
-// The RAM tier is an LRU bounded by container bytes; when a disk tier
-// is attached, eviction demotes instead of deleting and misses fall
-// through to disk.
+// The RAM tier is an LRU bounded by the bytes its entries keep alive —
+// each container plus its parsed VBS, which is several times larger;
+// when a disk tier is attached, eviction demotes instead of deleting
+// and misses fall through to disk.
 type Store struct {
 	mu       sync.Mutex
 	capBytes int
 	entries  map[Digest]*list.Element
 	order    *list.List // front = most recently used; holds *Entry
-	bytes    int
+	bytes    int        // sum of resident entries' mem
+	ratioSum float64    // sum of resident entries' Ratio
 	tier     TierStats
 
 	disk    *repo.Repo      // optional persistence tier
@@ -102,7 +113,7 @@ type Store struct {
 func New() *Store { return NewTiered(0, nil) }
 
 // NewBounded returns a RAM-only store evicting least-recently-used
-// entries once stored container bytes exceed capBytes (<= 0 =
+// entries once the bytes they retain exceed capBytes (<= 0 =
 // unbounded). Without a disk tier, eviction deletes.
 func NewBounded(capBytes int) *Store { return NewTiered(capBytes, nil) }
 
@@ -143,7 +154,7 @@ func (s *Store) Put(data []byte) (ent *Entry, existed bool, err error) {
 	if err := v.Warm(); err != nil {
 		return nil, false, err
 	}
-	ent = &Entry{Digest: d, VBS: v, Data: append([]byte(nil), data...)}
+	ent = newEntry(d, v, append([]byte(nil), data...))
 	// A blob can be held by disk alone (RAM eviction, boot recovery):
 	// the disk tier's dedup verdict counts toward "existed" too, or a
 	// re-put after demotion would misreport a fresh admission.
@@ -175,13 +186,10 @@ func (s *Store) admit(ent *Entry) (*Entry, bool, error) {
 		return el.Value.(*Entry), true, nil
 	}
 	s.entries[ent.Digest] = s.order.PushFront(ent)
-	s.bytes += len(ent.Data)
+	s.bytes += ent.mem
+	s.ratioSum += ent.Ratio
 	for s.capBytes > 0 && s.bytes > s.capBytes && s.order.Len() > 1 {
-		el := s.order.Back()
-		old := el.Value.(*Entry)
-		s.order.Remove(el)
-		delete(s.entries, old.Digest)
-		s.bytes -= len(old.Data)
+		s.removeLocked(s.order.Back())
 		if s.disk != nil {
 			// Write-through at Put time means the blob is already on
 			// disk: eviction is a demotion, not a loss.
@@ -189,6 +197,18 @@ func (s *Store) admit(ent *Entry) (*Entry, bool, error) {
 		}
 	}
 	return ent, false, nil
+}
+
+// removeLocked drops one element from the RAM tier and its share of
+// the running sums. Callers hold s.mu.
+func (s *Store) removeLocked(el *list.Element) {
+	old := s.order.Remove(el).(*Entry)
+	delete(s.entries, old.Digest)
+	s.bytes -= old.mem
+	s.ratioSum -= old.Ratio
+	if len(s.entries) == 0 {
+		s.ratioSum = 0 // shed floating-point residue
+	}
 }
 
 // getRAM returns a RAM-resident entry, marking it recently used.
@@ -242,8 +262,7 @@ func (s *Store) Fetch(d Digest) (*Entry, error) {
 		if err := v.Warm(); err != nil {
 			return nil, fmt.Errorf("store: promote %s: %w", d.Short(), err)
 		}
-		ent := &Entry{Digest: d, VBS: v, Data: data}
-		ent, _, _ = s.admit(ent)
+		ent, _, _ := s.admit(newEntry(d, v, data))
 		s.mu.Lock()
 		s.tier.Promotions++
 		s.mu.Unlock()
@@ -287,10 +306,7 @@ func (s *Store) Delete(d Digest) error {
 	found := false
 	s.mu.Lock()
 	if el, ok := s.entries[d]; ok {
-		old := el.Value.(*Entry)
-		s.order.Remove(el)
-		delete(s.entries, d)
-		s.bytes -= len(old.Data)
+		s.removeLocked(el)
 		found = true
 	}
 	s.mu.Unlock()
@@ -416,7 +432,8 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Bytes returns the total RAM-resident container bytes.
+// Bytes returns what the RAM tier retains — containers plus their
+// parsed form — the figure the capacity bounds.
 func (s *Store) Bytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -425,16 +442,13 @@ func (s *Store) Bytes() int {
 
 // MeanCompressionRatio averages VBS-size/raw-size over the
 // RAM-resident tasks (the paper's Figure 4 metric; smaller is
-// better). It returns 0 for an empty store.
+// better). It returns 0 for an empty store. The sum is maintained by
+// admission and removal, so reading it is O(1).
 func (s *Store) MeanCompressionRatio() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.entries) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		sum += el.Value.(*Entry).VBS.CompressionRatio()
-	}
-	return sum / float64(len(s.entries))
+	return s.ratioSum / float64(len(s.entries))
 }

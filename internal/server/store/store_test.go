@@ -21,6 +21,16 @@ func testVBS(t testing.TB, taskW int) []byte {
 	return data
 }
 
+// retained is what the RAM tier charges for a container.
+func retained(t testing.TB, data []byte) int {
+	t.Helper()
+	v, err := core.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(data) + v.MemBytes()
+}
+
 func TestStorePut(t *testing.T) {
 	s := New()
 	data := testVBS(t, 2)
@@ -198,7 +208,7 @@ func TestFlightCollapses(t *testing.T) {
 
 func TestStoreBoundedEviction(t *testing.T) {
 	a, b, c := testVBS(t, 2), testVBS(t, 3), testVBS(t, 4)
-	cap := len(a) + len(b)
+	cap := retained(t, a) + retained(t, b)
 	s := NewBounded(cap)
 	entA, _, err := s.Put(a)
 	if err != nil {
