@@ -23,13 +23,15 @@ lint:
 race:
 	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/ ./internal/fabric/ ./internal/arch/ ./internal/bits/
 
-# fuzz-smoke gives every parser that reads a socket or a disk ten
-# seconds of coverage-guided fuzzing (go test -fuzz takes one target
-# and one package per run).
+# fuzz-smoke gives every parser that reads a socket or a disk, and the
+# region router against its heap reference, ten seconds of
+# coverage-guided fuzzing (go test -fuzz takes one target and one
+# package per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelopes$$' -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteMatchesReference$$' -fuzztime 10s ./internal/devirt/
 
 # bench-smoke is the CI guard: every decode benchmark must still run —
 # the facade's, and the two on the bench's own mid containers.

@@ -41,10 +41,18 @@ func (v *VBS) DecodeInto(target *bitstream.Raw, x0, y0 int) error {
 		return err
 	}
 	for i := range v.Entries {
-		if err := v.DecodeEntryInto(i, target, x0, y0); err != nil {
-			return fmt.Errorf("core: entry %d at region (%d,%d): %w",
-				i, v.Entries[i].X, v.Entries[i].Y, err)
+		if err := v.decodeEntry(i, target, x0, y0); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// decodeEntry is DecodeEntryInto with the entry named in the error.
+func (v *VBS) decodeEntry(i int, target *bitstream.Raw, x0, y0 int) error {
+	if err := v.DecodeEntryInto(i, target, x0, y0); err != nil {
+		return fmt.Errorf("core: entry %d at region (%d,%d): %w",
+			i, v.Entries[i].X, v.Entries[i].Y, err)
 	}
 	return nil
 }
@@ -70,11 +78,7 @@ func (v *VBS) DecodeIntoParallel(target *bitstream.Raw, x0, y0, workers int) err
 		return err
 	}
 	return v.eachEntryParallel(workers, func(i int) error {
-		if err := v.DecodeEntryInto(i, target, x0, y0); err != nil {
-			return fmt.Errorf("core: entry %d at region (%d,%d): %w",
-				i, v.Entries[i].X, v.Entries[i].Y, err)
-		}
-		return nil
+		return v.decodeEntry(i, target, x0, y0)
 	})
 }
 
@@ -97,9 +101,13 @@ func (v *VBS) checkTarget(target *bitstream.Raw, x0, y0 int) error {
 // eachEntryParallel runs fn for every entry index, distributing the
 // calls over the given worker count (0 selects GOMAXPROCS). Entries
 // decode independently (the property Section II-C calls out), so this
-// is the fan-out of every whole-task parallel decode. When several
-// entries fail, the error of the lowest entry index is returned, so
-// the outcome does not depend on scheduling.
+// is the fan-out of every whole-task parallel decode. No entry is
+// handed out after the first failure: a malformed container does not
+// get the rest of its entries routed before the error comes back.
+// Entries are handed out in index order, so every index below a failed
+// one has already started and runs to completion; the error of the
+// lowest failing index is returned, and the outcome does not depend on
+// scheduling.
 func (v *VBS) eachEntryParallel(workers int, fn func(i int) error) error {
 	n := len(v.Entries)
 	if n == 0 {
@@ -136,6 +144,7 @@ func (v *VBS) eachEntryParallel(workers int, fn func(i int) error) error {
 					return
 				}
 				if err := fn(i); err != nil {
+					next.Store(int64(n)) // hand out nothing more
 					mu.Lock()
 					if i < errIdx {
 						errIdx, firstErr = i, err

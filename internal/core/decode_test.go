@@ -1,10 +1,13 @@
 package core
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
+	"repro/internal/devirt"
 )
 
 // TestDecodeVariantsBitIdentical: every decode path — sequential
@@ -71,5 +74,60 @@ func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	decode() // warm pooled routers for every region shape of this VBS
 	if avg := testing.AllocsPerRun(50, decode); avg > 4 {
 		t.Errorf("steady-state DecodeInto allocates %.2f times per run, want ~0", avg)
+	}
+}
+
+// TestParallelDecodeStopsAtFirstFailure: a container whose entry k names
+// an I/O code outside the region's code space (bytes from a socket can)
+// must not get the rest of its entries routed. Entries beyond k are held
+// back until entry k has failed, so at most the workers-1 of them
+// already handed out can still run: the fan-out starts at most
+// k + workers entries, and at every worker count the error is the one
+// the sequential decode returns.
+func TestParallelDecodeStopsAtFirstFailure(t *testing.T) {
+	f := runFlow(t, 21, 30, 7, 8, 6)
+	v, _, err := Encode(f.d, f.pl, f.res, EncodeOptions{Cluster: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := -1
+	for i := 3; i < len(v.Entries); i++ {
+		if e := &v.Entries[i]; len(e.Conns) > 0 {
+			e.Conns[0].In = devirt.IOCode(v.Region(e.X, e.Y).NumIOCodes())
+			k = i
+			break
+		}
+	}
+	if k < 0 || len(v.Entries) < k+12 {
+		t.Fatalf("flow too small: %d entries, bad entry %d", len(v.Entries), k)
+	}
+	target := bitstream.New(v.P, arch.Grid{Width: v.TaskW, Height: v.TaskH})
+	want := v.DecodeInto(target, 0, 0)
+	if want == nil || !strings.Contains(want.Error(), "out of range") {
+		t.Fatalf("sequential decode of the malformed container: %v", want)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		var started atomic.Int64
+		kFailed := make(chan struct{})
+		err := v.eachEntryParallel(workers, func(i int) error {
+			started.Add(1)
+			if i > k {
+				<-kFailed
+			}
+			err := v.decodeEntry(i, target, 0, 0)
+			if i == k {
+				close(kFailed)
+			}
+			return err
+		})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("workers %d: error %v, want %v", workers, err, want)
+		}
+		if n := int(started.Load()); n > k+workers {
+			t.Errorf("workers %d: %d entries started after entry %d failed, want at most %d", workers, n, k, k+workers)
+		}
+		if err := v.DecodeIntoParallel(target, 0, 0, workers); err == nil || err.Error() != want.Error() {
+			t.Errorf("workers %d: DecodeIntoParallel error %v, want %v", workers, err, want)
+		}
 	}
 }

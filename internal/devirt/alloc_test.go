@@ -46,7 +46,7 @@ func TestRouteSteadyStateAllocFree(t *testing.T) {
 			}
 		}
 	}
-	decode() // grow undo lists and bucket capacity once
+	decode() // grow the undo lists and net chain heads once
 	if avg := testing.AllocsPerRun(200, decode); avg != 0 {
 		t.Errorf("steady-state decode allocates %.2f times per run, want 0", avg)
 	}

@@ -286,17 +286,42 @@ type edge struct {
 	nbits  uint8 // raw bits driven by the switch (1, 3 or 6)
 }
 
-// regionGraph is the immutable routing graph of a region shape, stored
-// in compressed sparse row (CSR) form: edges[adjOff[c]:adjOff[c+1]]
-// are conductor c's switch edges, one flat allocation instead of a
-// slice per conductor. Edge order within a conductor is the member
-// then switch enumeration order, which fixes the router's
-// deterministic tie-breaking.
+// bitset is a set of conductors, one bit each, in raw words: the
+// search's sets are ANDed word against word, so no length or bounds
+// bookkeeping rides along.
+type bitset []uint64
+
+func newBitset(conds int) bitset  { return make(bitset, (conds+63)>>6) }
+func (b bitset) set(c int32)      { b[c>>6] |= 1 << uint(c&63) }
+func (b bitset) unset(c int32)    { b[c>>6] &^= 1 << uint(c&63) }
+func (b bitset) has(c int32) bool { return b[c>>6]>>uint(c&63)&1 != 0 }
+
+// wordRow is one word of a conductor's neighbour set: the neighbours
+// whose indices lie in [64w, 64w+64), one bit each.
+type wordRow struct {
+	mask uint64
+	w    int32
+}
+
+// regionGraph is the immutable routing graph of a region shape, held
+// twice. The search reads word rows: rows[rowOff[c]:rowOff[c+1]] is
+// conductor c's neighbour set as (word, mask) pairs in ascending word
+// order, so expanding c is an AND per pair instead of a load per edge.
+// The commit path reads the switch edges in compressed sparse row (CSR)
+// form: edges[adjOff[c]:adjOff[c+1]] are conductor c's, one flat
+// allocation. Edge order within a conductor is the member then switch
+// enumeration order, which fixes which switch joins a conductor pair
+// (the first) — part of the router's deterministic tie-breaking.
 type regionGraph struct {
 	r      Region
 	class  []condClass
 	adjOff []int32
 	edges  []edge
+	rowOff []int32
+	rows   []wordRow
+	// inW and inS are the first incoming west and south wire: the
+	// conductors from inW on exist only on an open fabric edge.
+	inW, inS int32
 	// codeCond is CondForCode precomputed over the whole I/O code
 	// space: codeCond[code] is the conductor index, or -1 for the null
 	// code and codes outside the actual CW×CH shape. It removes the
@@ -306,6 +331,24 @@ type regionGraph struct {
 	// traversal cost per conductor, 0 for output pins (never a
 	// route-through). Routers copy it and keep their copy current.
 	step []int32
+	// avail is the same blank state as a bitset: bit c set iff
+	// step[c] != 0.
+	avail bitset
+}
+
+// row returns conductor c's neighbour set.
+func (g *regionGraph) row(c int32) []wordRow { return g.rows[g.rowOff[c]:g.rowOff[c+1]] }
+
+// firstEdge returns the first switch edge from conductor c to conductor
+// to, in adjacency order. Where parallel switches join one pair, this is
+// the one the router drives.
+func (g *regionGraph) firstEdge(c, to int32) *edge {
+	for k, end := g.adjOff[c], g.adjOff[c+1]; k < end; k++ {
+		if g.edges[k].to == to {
+			return &g.edges[k]
+		}
+	}
+	return nil
 }
 
 // condFor is the hot-path CondForCode: table lookup, -1 for any
@@ -315,6 +358,16 @@ func (g *regionGraph) condFor(code IOCode) int32 {
 		return -1
 	}
 	return g.codeCond[code]
+}
+
+// cond is condFor with CondForCode's error for an invalid code.
+func (g *regionGraph) cond(code IOCode) (int32, error) {
+	c := g.condFor(code)
+	if c < 0 {
+		_, err := g.r.CondForCode(code)
+		return c, err
+	}
+	return c, nil
 }
 
 var graphCache sync.Map // Region -> *regionGraph
@@ -343,35 +396,25 @@ func graphFor(r Region) *regionGraph {
 
 func buildRegionGraph(r Region) *regionGraph {
 	n := r.NumConds()
-	g := &regionGraph{r: r, class: make([]condClass, n)}
-	// Classify conductors.
-	for i := 0; i < r.CW; i++ {
-		for j := 0; j < r.CH; j++ {
-			for t := 0; t < r.P.W; t++ {
-				if i == r.CW-1 {
-					g.class[r.condHW(i, j, t)] = classBoundaryWire
-				}
-				if j == r.CH-1 {
-					g.class[r.condVW(i, j, t)] = classBoundaryWire
-				}
-			}
-			for p := 0; p < r.P.L(); p++ {
-				if p == r.P.OutputPin() {
-					g.class[r.condPin(i, j, p)] = classOutputPin
-				} else {
-					g.class[r.condPin(i, j, p)] = classInputPin
-				}
-			}
+	g := &regionGraph{r: r, class: make([]condClass, n),
+		inW: int32(r.condInW(0, 0)), inS: int32(r.condInS(0, 0))}
+	// Classify conductors; step and avail are a blank router's view of
+	// the class. A wire with an I/O code is visible outside the region.
+	g.step = make([]int32, n)
+	g.avail = newBitset(n)
+	for c := 0; c < n; c++ {
+		switch kind, _, _, idx := r.CondPlace(c); {
+		case kind != arch.KindPin && r.CodeForCond(c) != 0:
+			g.class[c], g.step[c] = classBoundaryWire, costBoundary
+		case kind != arch.KindPin:
+			g.class[c], g.step[c] = classInternalWire, costInternal
+		case idx == r.P.OutputPin():
+			g.class[c] = classOutputPin // driven by its LB: step 0
+		default:
+			g.class[c], g.step[c] = classInputPin, costInputPin
 		}
-	}
-	for j := 0; j < r.CH; j++ {
-		for t := 0; t < r.P.W; t++ {
-			g.class[r.condInW(j, t)] = classBoundaryWire
-		}
-	}
-	for i := 0; i < r.CW; i++ {
-		for t := 0; t < r.P.W; t++ {
-			g.class[r.condInS(i, t)] = classBoundaryWire
+		if g.step[c] != 0 {
+			g.avail.set(int32(c))
 		}
 	}
 	// Edges from every member's switch inventory, CSR-packed in two
@@ -411,20 +454,7 @@ func buildRegionGraph(r Region) *regionGraph {
 			}
 		}
 	}
-	// Precomputed per-conductor lookups for the router's hot loops.
-	g.step = make([]int32, n)
-	for c := 0; c < n; c++ {
-		switch g.class[c] {
-		case classBoundaryWire:
-			g.step[c] = costBoundary
-		case classInputPin:
-			g.step[c] = costInputPin
-		case classOutputPin:
-			g.step[c] = 0 // output pins are driven by their LB
-		default:
-			g.step[c] = costInternal
-		}
-	}
+	g.buildRows()
 	g.codeCond = make([]int32, r.NumIOCodes())
 	for code := range g.codeCond {
 		g.codeCond[code] = -1
@@ -433,4 +463,24 @@ func buildRegionGraph(r Region) *regionGraph {
 		}
 	}
 	return g
+}
+
+// buildRows derives the word rows from the CSR adjacency: per conductor
+// the set of edge targets, one (word, mask) pair per non-empty word.
+func (g *regionGraph) buildRows() {
+	n := len(g.adjOff) - 1
+	set := newBitset(n)
+	g.rowOff = make([]int32, n+1)
+	for c := 0; c < n; c++ {
+		for _, e := range g.edges[g.adjOff[c]:g.adjOff[c+1]] {
+			set.set(e.to)
+		}
+		for w, mask := range set {
+			if mask != 0 {
+				g.rows = append(g.rows, wordRow{mask: mask, w: int32(w)})
+				set[w] = 0
+			}
+		}
+		g.rowOff[c+1] = int32(len(g.rows))
+	}
 }

@@ -10,148 +10,78 @@ import (
 	"repro/internal/arch"
 )
 
-// refRoute is the search Router.route replaced, kept verbatim as the
-// reference: the target is pushed like any other conductor (at its
-// reserved cost) and the queue drains until it pops; every edge asks
-// owner, class, usable and reserved separately instead of the packed
-// step table. It shares the router's state, scratch and commit.
-func refRoute(rt *Router, net int32, target int) error {
-	rt.epoch++
-	rt.bq.reset()
-	for _, c := range rt.claimed {
-		if rt.owner[c] != net {
-			continue
-		}
-		rt.seenEp[c] = rt.epoch
-		rt.dist[c] = 0
-		rt.par[c] = -1
-		rt.bq.push(0, c)
-	}
-	g := rt.g
-	for {
-		c32, d, ok := rt.bq.pop()
-		if !ok {
-			break
-		}
-		c := int(c32)
-		if c == target {
-			rt.commit(net, target)
-			return nil
-		}
-		if d > rt.dist[c] {
-			continue
-		}
-		for k, end := g.adjOff[c], g.adjOff[c+1]; k < end; k++ {
-			e := &g.edges[k]
-			to := int(e.to)
-			if to != target {
-				if rt.owner[to] != -1 {
-					continue
-				}
-				if g.class[to] == classOutputPin {
-					continue
-				}
-				if !rt.usable(to) {
-					continue
-				}
-			}
-			nd := d + refBaseCost(g.class[to])
-			if rt.reserved[to] {
-				nd += costReserved
-			}
-			if rt.seenEp[to] == rt.epoch && nd >= rt.dist[to] {
-				continue
-			}
-			rt.seenEp[to] = rt.epoch
-			rt.dist[to] = nd
-			rt.par[to] = int32(c)
-			rt.parEdg[to] = *e
-			rt.bq.push(nd, e.to)
-		}
-	}
-	return fmt.Errorf("devirt: no path to conductor %d for net %d", target, net)
-}
-
-func refBaseCost(cl condClass) int32 {
-	switch cl {
-	case classBoundaryWire:
-		return costBoundary
-	case classInputPin, classOutputPin:
-		return costInputPin
-	default:
-		return costInternal
-	}
-}
-
-// refRouteConnection is RouteConnection over refRoute.
-func refRouteConnection(rt *Router, in, out IOCode) error {
-	a := rt.g.condFor(in)
-	if a < 0 {
-		_, err := rt.g.r.CondForCode(in)
-		return err
-	}
-	b := rt.g.condFor(out)
-	if b < 0 {
-		_, err := rt.g.r.CondForCode(out)
-		return err
-	}
-	if !rt.usable(int(a)) || !rt.usable(int(b)) {
-		return fmt.Errorf("devirt: endpoint on closed fabric edge (%d->%d)", in, out)
-	}
-	net := rt.owner[a]
-	if net < 0 {
-		net = rt.nets
-		rt.nets++
-		rt.claim(a, net)
-	}
-	switch {
-	case rt.owner[b] == net:
-		return nil
-	case rt.owner[b] >= 0:
-		return fmt.Errorf("devirt: endpoints %d and %d belong to different nets", in, out)
-	}
-	return refRoute(rt, net, int(b))
-}
-
 // errKindNames are the routing failures the scenes must reach.
 var errKindNames = []string{"no path", "different nets", "closed fabric edge", "out of range", "outside region"}
 
-func errText(err error) string {
+// errKind reduces an error to the routing failure it names ("" for
+// nil): the router and the reference word their errors differently.
+func errKind(err error) string {
 	if err == nil {
 		return ""
+	}
+	for _, kind := range errKindNames {
+		if strings.Contains(err.Error(), kind) {
+			return kind
+		}
 	}
 	return err.Error()
 }
 
-// TestEarlyExitMatchesFullDrain is the exactness property of the
-// early exit and of the step table: over seeded random scenes — every
-// cluster size, truncated shapes, closed west/south edges, endpoints
-// drawn from a small pool so nets get extended and collide, lists long
-// enough to run the region out of paths — the router and the
-// full-drain reference must agree after every single connection on
-// the error text, on every claimed conductor's owner and on every
-// member's configuration bits. Both routers are reused across scenes,
-// so Reset and setEdges keeping step current is under test too.
-func TestEarlyExitMatchesFullDrain(t *testing.T) {
-	shapes := []Region{
-		{P: arch.PaperExample(), Nominal: 1, CW: 1, CH: 1},
-		{P: arch.Params{W: 3, K: 3}, Nominal: 1, CW: 1, CH: 1},
-		{P: arch.Params{W: 6, K: 4}, Nominal: 2, CW: 2, CH: 2},
-		{P: arch.Params{W: 3, K: 4}, Nominal: 2, CW: 1, CH: 2},
-		{P: arch.Params{W: 5, K: 4}, Nominal: 3, CW: 3, CH: 3},
-		{P: arch.Params{W: 3, K: 3}, Nominal: 3, CW: 2, CH: 3},
-		{P: arch.Params{W: 4, K: 3}, Nominal: 4, CW: 4, CH: 4},
-		{P: arch.Params{W: 3, K: 3}, Nominal: 4, CW: 4, CH: 1},
-		{P: arch.Params{W: 3, K: 3}, Nominal: 4, CW: 3, CH: 2},
+// exactShapes are the regions the differential tests route: every
+// cluster size, truncated shapes, and the architecture the bench
+// decodes ({W:20,K:6}: 268 conductors in 5 words at 2×2, 912 in 15 at
+// 4×4), so multi-word rows and the bit 63/64 boundaries are crossed.
+var exactShapes = []Region{
+	{P: arch.PaperExample(), Nominal: 1, CW: 1, CH: 1},
+	{P: arch.Params{W: 3, K: 3}, Nominal: 1, CW: 1, CH: 1},
+	{P: arch.Params{W: 6, K: 4}, Nominal: 2, CW: 2, CH: 2},
+	{P: arch.Params{W: 3, K: 4}, Nominal: 2, CW: 1, CH: 2},
+	{P: arch.Params{W: 5, K: 4}, Nominal: 3, CW: 3, CH: 3},
+	{P: arch.Params{W: 3, K: 3}, Nominal: 3, CW: 2, CH: 3},
+	{P: arch.Params{W: 4, K: 3}, Nominal: 4, CW: 4, CH: 4},
+	{P: arch.Params{W: 3, K: 3}, Nominal: 4, CW: 4, CH: 1},
+	{P: arch.Params{W: 3, K: 3}, Nominal: 4, CW: 3, CH: 2},
+	{P: arch.Params{W: 20, K: 6}, Nominal: 2, CW: 2, CH: 2},
+	{P: arch.Params{W: 20, K: 6}, Nominal: 4, CW: 4, CH: 4},
+	{P: arch.Params{W: 20, K: 6}, Nominal: 4, CW: 4, CH: 3},
+}
+
+// checkAgainstReference compares everything a decode can observe —
+// every conductor's owner and every member's configuration bits — and
+// the router's own bookkeeping: avail bit c set iff step[c] != 0.
+func checkAgainstReference(t testing.TB, opt *Router, ref *refRouter, where string) {
+	t.Helper()
+	if !slices.Equal(opt.owner, ref.owner) {
+		t.Fatalf("%s: owners %v, reference %v", where, opt.owner, ref.owner)
 	}
-	const scenesPerShape = 64 // 9 shapes × 64 = 576 scenes
-	errKinds := map[string]int{}
-	for _, r := range shapes {
-		opt, err := NewRouter(r, false, false)
-		if err != nil {
-			t.Fatal(err)
+	for m := range ref.configs {
+		if !opt.configs[m].Vec().Equal(ref.configs[m].Vec()) {
+			t.Fatalf("%s member %d: config bits differ from reference", where, m)
 		}
-		ref, err := NewRouter(r, false, false)
+	}
+	for c, s := range opt.step {
+		if avail := opt.avail.has(int32(c)); avail != (s != 0) {
+			t.Fatalf("%s cond %d: avail %v, step %d", where, c, avail, s)
+		}
+	}
+}
+
+// TestEarlyExitMatchesFullDrain is the exactness property of the word
+// mask search — early exit, first-offer-is-final, bitset frontier,
+// first-edge commit: over seeded random scenes — every cluster size,
+// truncated shapes, closed west/south edges, endpoints drawn from a
+// small pool so nets get extended and collide, lists long enough to run
+// the region out of paths — the router and the heap reference (target
+// queued like any conductor, drained until it pops, distances and
+// parent edges stored per relaxation) must agree after every single
+// connection on the error kind, on every conductor's owner and on every
+// member's configuration bits. The router is reused across scenes, so
+// Reset and setEdges keeping step and avail current is under test too.
+func TestEarlyExitMatchesFullDrain(t *testing.T) {
+	const scenesPerShape = 64 // 12 shapes × 64 = 768 scenes
+	errKinds := map[string]int{}
+	for _, r := range exactShapes {
+		opt, err := NewRouter(r, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,50 +99,31 @@ func TestEarlyExitMatchesFullDrain(t *testing.T) {
 				list[i] = [2]IOCode{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
 			}
 
-			for _, rt := range []*Router{opt, ref} {
-				rt.Reset()
-				rt.setEdges(closedW, closedS)
-			}
+			opt.Reset()
+			opt.setEdges(closedW, closedS)
+			ref := newRefRouter(t, r, closedW, closedS)
 			for _, p := range list {
 				for _, code := range p {
-					if a, b := errText(opt.Reserve(code)), errText(ref.Reserve(code)); a != b {
+					if a, b := errKind(opt.Reserve(code)), errKind(ref.reserve(code)); a != b {
 						t.Fatalf("%+v seed %d: Reserve(%d): %q, reference %q", r, seed, code, a, b)
 					}
 				}
 			}
 			for k, p := range list {
-				got := errText(opt.RouteConnection(p[0], p[1]))
-				want := errText(refRouteConnection(ref, p[0], p[1]))
+				got := errKind(opt.RouteConnection(p[0], p[1]))
+				want := errKind(ref.routeConnection(p[0], p[1]))
 				if got != want {
 					t.Fatalf("%+v seed %d connection %d (%d->%d): error %q, reference %q",
 						r, seed, k, p[0], p[1], got, want)
 				}
-				for _, kind := range errKindNames {
-					if strings.Contains(got, kind) {
-						errKinds[kind]++
-					}
-				}
-				gc, gotOwn := opt.ClaimedConds()
-				wc, wantOwn := ref.ClaimedConds()
-				if !slices.Equal(gc, wc) || !slices.Equal(gotOwn, wantOwn) {
-					t.Fatalf("%+v seed %d connection %d: claimed %v owners %v, reference %v owners %v",
-						r, seed, k, gc, gotOwn, wc, wantOwn)
-				}
-				for m := range ref.configs {
-					if !opt.configs[m].Vec().Equal(ref.configs[m].Vec()) {
-						t.Fatalf("%+v seed %d connection %d member %d: config bits differ from reference",
-							r, seed, k, m)
-					}
-				}
+				errKinds[got]++
+				checkAgainstReference(t, opt, ref, fmt.Sprintf("%+v seed %d connection %d", r, seed, k))
 			}
 			// step must describe the state the reference fields hold.
 			for c := range opt.step {
 				want := int32(0)
-				if opt.owner[c] == -1 && opt.g.class[c] != classOutputPin && opt.usable(c) {
-					want = refBaseCost(opt.g.class[c])
-					if opt.reserved[c] {
-						want += costReserved
-					}
+				if ref.owner[c] == -1 && ref.g.class[c] != classOutputPin && ref.usable(c) {
+					want = ref.condCost(c)
 				}
 				if opt.step[c] != want {
 					t.Fatalf("%+v seed %d cond %d: step %d, want %d", r, seed, c, opt.step[c], want)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -111,9 +112,12 @@ func TestReserveSteersAroundEndpoints(t *testing.T) {
 //
 // refRouter reconstructs the pre-optimization router: freshly allocated
 // state, container/heap Dijkstra with (dist, cond) ordering, per-pop
-// class-switch costs, full owner scans for seeds — the implementation
-// the CSR/bucket-queue/pooled router replaced. The property tests below
-// assert the optimized router is bit-identical to it on every input.
+// class-switch costs, full owner scans for seeds, the target queued like
+// any conductor and the heap drained until it pops, a distance and a
+// parent edge stored per relaxation — the implementation the pooled
+// word-mask router replaced. The property tests below, the scene
+// differential (exact_test.go) and the fuzz target assert the optimized
+// router is bit-identical to it on every input.
 
 type refCondDist struct {
 	dist int32
@@ -147,7 +151,7 @@ type refRouter struct {
 	configs          []*arch.MacroConfig
 }
 
-func newRefRouter(t *testing.T, r Region, closedW, closedS bool) *refRouter {
+func newRefRouter(t testing.TB, r Region, closedW, closedS bool) *refRouter {
 	t.Helper()
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
@@ -179,7 +183,15 @@ func (rt *refRouter) usable(c int) bool {
 }
 
 func (rt *refRouter) condCost(c int) int32 {
-	base := refBaseCost(rt.g.class[c])
+	var base int32
+	switch rt.g.class[c] {
+	case classBoundaryWire:
+		base = costBoundary
+	case classInputPin, classOutputPin:
+		base = costInputPin
+	default:
+		base = costInternal
+	}
 	if rt.reserved[c] {
 		base += costReserved
 	}
@@ -309,7 +321,7 @@ func applyList(reserve func(IOCode) error, route func(in, out IOCode) error, lis
 // zero-allocation hot path: across region shapes (all cluster sizes 1
 // to 4, truncated edge shapes included), random — valid, invalid and
 // unroutable — connection lists, closed fabric edges, and repeated
-// reuse of one pooled router, the CSR/bucket-queue/pooled router must
+// reuse of one pooled router, the pooled word-mask router must
 // fail at exactly the same connection and produce exactly the same
 // switch bits as the freshly-allocated reference decoder.
 func TestPooledDecoderMatchesReference(t *testing.T) {
@@ -412,8 +424,16 @@ func TestRouterResetIsComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freshFail := applyList(fresh.Reserve, fresh.RouteConnection, list)
 		rt.Reset()
+		// Blank means blank for the search state too: every steppable
+		// conductor available again, nothing queued, no target marked.
+		if !slices.Equal(rt.avail, fresh.avail) || !slices.Equal(rt.step, fresh.step) {
+			t.Fatalf("round %d: avail/step after Reset differ from a fresh router's", round)
+		}
+		if !rt.fr.empty() || slices.ContainsFunc(rt.near, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("round %d: frontier or target marks not empty after Reset", round)
+		}
+		freshFail := applyList(fresh.Reserve, fresh.RouteConnection, list)
 		reusedFail := applyList(rt.Reserve, rt.RouteConnection, list)
 		if freshFail != reusedFail {
 			t.Fatalf("round %d: fresh fails at %d, reused at %d", round, freshFail, reusedFail)

@@ -2,7 +2,7 @@ package devirt
 
 import (
 	"fmt"
-	"math"
+	mathbits "math/bits"
 	"slices"
 
 	"repro/internal/arch"
@@ -48,7 +48,13 @@ type Router struct {
 	// (claimed, an output pin, or a wire on a closed fabric edge), else
 	// its traversal cost, costReserved included. claim, Reserve, Reset
 	// and setEdges keep it in line with owner/reserved/closed*.
-	step    []int32
+	step []int32
+	// avail is step as a bitset — bit c set iff step[c] != 0 — kept
+	// current by the same four.
+	avail bitset
+	// netNext links every net's claimed conductors into a ring: the
+	// seeds of a search that extends the net, reachable from any member.
+	netNext []int32
 	nets    int32
 	configs []*arch.MacroConfig // per member, switch bits only
 
@@ -60,13 +66,14 @@ type Router struct {
 	dirty     []bool
 	dirtyList []int32
 
-	// Search scratch, epoch stamped.
-	epoch  int32
-	seenEp []int32
-	dist   []int32
-	par    []int32 // parent conductor
-	parEdg []edge
-	bq     bucketQueue
+	// Search scratch. live is avail minus what the running search has
+	// discovered; near is the target's neighbour set as a dense bitset;
+	// par is the parent of every discovered conductor. near and fr are
+	// all-zero between searches.
+	live bitset
+	near bitset
+	par  []int32
+	fr   frontier
 
 	// pool is the home pool when acquired via AcquireRouter; Release
 	// returns the router there.
@@ -81,19 +88,25 @@ func NewRouter(r Region, closedW, closedS bool) (*Router, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	g := graphFor(r)
+	return newRouter(graphFor(r), closedW, closedS), nil
+}
+
+func newRouter(g *regionGraph, closedW, closedS bool) *Router {
+	r := g.r
 	n := r.NumConds()
 	rt := &Router{
 		g:        g,
 		owner:    make([]int32, n),
 		reserved: make([]bool, n),
 		step:     slices.Clone(g.step),
+		avail:    slices.Clone(g.avail),
+		netNext:  make([]int32, n),
 		configs:  make([]*arch.MacroConfig, r.Members()),
 		dirty:    make([]bool, r.Members()),
-		seenEp:   make([]int32, n),
-		dist:     make([]int32, n),
+		live:     newBitset(n),
+		near:     newBitset(n),
 		par:      make([]int32, n),
-		parEdg:   make([]edge, n),
+		fr:       newFrontier(len(g.avail)),
 	}
 	rt.setEdges(closedW, closedS)
 	for i := range rt.owner {
@@ -102,7 +115,7 @@ func NewRouter(r Region, closedW, closedS bool) (*Router, error) {
 	for i := range rt.configs {
 		rt.configs[i] = arch.NewMacroConfig(r.P)
 	}
-	return rt, nil
+	return rt
 }
 
 // setEdges installs the fabric-edge flags (they vary per acquisition,
@@ -110,37 +123,41 @@ func NewRouter(r Region, closedW, closedS bool) (*Router, error) {
 // closed edge stop being steppable, those of a reopened edge go back
 // to their blank cost.
 func (rt *Router) setEdges(closedW, closedS bool) {
-	r := rt.g.r
-	inW := r.Members() * r.perMember()
-	inS := inW + r.CH*r.P.W
+	g := rt.g
 	if closedW != rt.closedW {
 		rt.closedW = closedW
-		rt.blankSteps(inW, inS)
+		for c := g.inW; c < g.inS; c++ {
+			rt.restore(c)
+		}
 	}
 	if closedS != rt.closedS {
 		rt.closedS = closedS
-		rt.blankSteps(inS, len(rt.step))
+		for c := g.inS; c < int32(len(rt.step)); c++ {
+			rt.restore(c)
+		}
 	}
 }
 
-// blankStep is conductor c's step on a blank router with the current
-// edge flags. Interior regions (both edges open, every pooled decode)
-// skip the edge arithmetic.
-func (rt *Router) blankStep(c int) int32 {
-	if (rt.closedW || rt.closedS) && !rt.usable(c) {
-		return 0
-	}
-	return rt.g.step[c]
+// usable reports whether a conductor may carry signal at all: the
+// incoming wires of a closed fabric edge do not exist.
+func (rt *Router) usable(c int32) bool {
+	return !(rt.closedW && c >= rt.g.inW && c < rt.g.inS) && !(rt.closedS && c >= rt.g.inS)
 }
 
-func (rt *Router) blankSteps(from, to int) {
-	for c := from; c < to; c++ {
-		rt.step[c] = rt.blankStep(c)
+// restore puts conductor c's step and avail bit back to the blank
+// state under the current edge flags.
+func (rt *Router) restore(c int32) {
+	s := rt.g.step[c]
+	if !rt.usable(c) {
+		s = 0
+	}
+	rt.step[c] = s
+	if s != 0 {
+		rt.avail.set(c)
+	} else {
+		rt.avail.unset(c)
 	}
 }
-
-// Region returns the router's region shape.
-func (rt *Router) Region() Region { return rt.g.r }
 
 // Reset returns the router to the blank state for reuse. It undoes
 // only what the previous decode touched: claimed and reserved
@@ -149,12 +166,12 @@ func (rt *Router) Region() Region { return rt.g.r }
 func (rt *Router) Reset() {
 	for _, c := range rt.claimed {
 		rt.owner[c] = -1
-		rt.step[c] = rt.blankStep(int(c))
+		rt.restore(c)
 	}
 	rt.claimed = rt.claimed[:0]
 	for _, c := range rt.resList {
 		rt.reserved[c] = false
-		rt.step[c] = rt.blankStep(int(c))
+		rt.restore(c)
 	}
 	rt.resList = rt.resList[:0]
 	for _, m := range rt.dirtyList {
@@ -172,9 +189,8 @@ func (rt *Router) Reset() {
 // of the list before routing; since the full list is available before
 // decoding starts, this needs no extra information in the format.
 func (rt *Router) Reserve(code IOCode) error {
-	c := rt.g.condFor(code)
-	if c < 0 {
-		_, err := rt.g.r.CondForCode(code)
+	c, err := rt.g.cond(code)
+	if err != nil {
 		return err
 	}
 	if !rt.reserved[c] {
@@ -187,24 +203,11 @@ func (rt *Router) Reserve(code IOCode) error {
 	return nil
 }
 
-// usable reports whether a conductor may carry signal at all.
-func (rt *Router) usable(c int) bool {
-	r := rt.g.r
-	pm := r.perMember()
-	if c < r.Members()*pm {
-		return true
-	}
-	rest := c - r.Members()*pm
-	if rest < r.CH*r.P.W {
-		return !rt.closedW
-	}
-	return !rt.closedS
-}
-
 // claim assigns a free conductor to net and records the undo entry.
 func (rt *Router) claim(c int32, net int32) {
 	rt.owner[c] = net
 	rt.step[c] = 0
+	rt.avail.unset(c)
 	rt.claimed = append(rt.claimed, c)
 }
 
@@ -213,17 +216,15 @@ func (rt *Router) claim(c int32, net int32) {
 // whole tree; otherwise a new net starts at in. The chosen path claims
 // its conductors and turns on the corresponding switches.
 func (rt *Router) RouteConnection(in, out IOCode) error {
-	a := rt.g.condFor(in)
-	if a < 0 {
-		_, err := rt.g.r.CondForCode(in)
+	a, err := rt.g.cond(in)
+	if err != nil {
 		return err
 	}
-	b := rt.g.condFor(out)
-	if b < 0 {
-		_, err := rt.g.r.CondForCode(out)
+	b, err := rt.g.cond(out)
+	if err != nil {
 		return err
 	}
-	if !rt.usable(int(a)) || !rt.usable(int(b)) {
+	if !rt.usable(a) || !rt.usable(b) {
 		return fmt.Errorf("devirt: endpoint on closed fabric edge (%d->%d)", in, out)
 	}
 	var net int32
@@ -234,6 +235,7 @@ func (rt *Router) RouteConnection(in, out IOCode) error {
 		net = rt.nets
 		rt.nets++
 		rt.claim(a, net)
+		rt.netNext[a] = a
 	}
 	switch {
 	case rt.owner[b] == net:
@@ -241,90 +243,86 @@ func (rt *Router) RouteConnection(in, out IOCode) error {
 	case rt.owner[b] >= 0:
 		return fmt.Errorf("devirt: endpoints %d and %d belong to different nets", in, out)
 	}
-	return rt.route(net, int(b))
+	return rt.route(net, a, b)
 }
 
-// route runs deterministic Dijkstra from every conductor of net to the
-// target, through free conductors only. The frontier is a monotone
-// bucket queue (Dial's algorithm) popping in (distance, conductor)
-// order.
+// route runs deterministic Dijkstra from net's claimed tree to the
+// target, through free conductors only, popping in (distance,
+// conductor) order — on word masks. It is bit-identical to a heap search
+// that stores a distance and a parent edge per relaxation and drains
+// until the target pops (docs/ARCHITECTURE.md has the long form):
 //
-// The search stops the first time an edge reaches the target, without
-// queueing it. That is exact, not a heuristic: a step's cost depends
-// only on the conductor stepped onto, so every parent candidate p of
-// the target offers dist(p) + step(target), and the best parent is the
-// one with the smallest (dist, conductor) pair — which, pops being
-// monotone in exactly that pair, is the first one popped. Its first
-// edge to the target is the edge a full drain would have kept (later
-// offers are never strictly better), and the path behind it consists
-// of popped conductors, whose dist/par are final. Draining on until
-// the target itself pops cannot change the answer; it only costs, and
-// it used to cost the whole region graph per connection, because the
-// target — an endpoint, hence reserved — sat costReserved behind
-// every other reachable conductor.
-func (rt *Router) route(net int32, target int) error {
-	if rt.epoch == math.MaxInt32 {
-		// Epoch wrap: invalidate every stamp once, then restart.
-		for i := range rt.seenEp {
-			rt.seenEp[i] = 0
-		}
-		rt.epoch = 0
+//  1. First offer is final. A step's cost depends only on the conductor
+//     stepped onto and pops are monotone in (dist, cond), so a
+//     conductor's first popped neighbour offers it its final distance,
+//     and a later offer is never strictly better. live therefore starts
+//     as avail and loses a conductor the moment it is discovered.
+//  2. Lowest set bit is the sorted bucket: the frontier drains each
+//     distance's bitset in ascending conductor order.
+//  3. The target test is symmetric. Switches are undirected, so the
+//     first popped conductor found in the target's own row (near) is the
+//     parent a full drain would keep; the target is never queued.
+//  4. First-edge commit. The switch a relaxation would have recorded is
+//     the first edge to the conductor in its parent's adjacency; commit
+//     looks it up there.
+func (rt *Router) route(net, from, target int32) error {
+	g, step, live, near, par, fr := rt.g, rt.step, rt.live, rt.near, rt.par, &rt.fr
+	copy(live, rt.avail)
+	trow := g.row(target)
+	for _, p := range trow {
+		near[p.w] = p.mask
 	}
-	rt.epoch++
-	rt.bq.reset()
-	// Seeds: the net's claimed tree, found on the undo list (each
-	// conductor is claimed at most once, so no duplicates).
-	for _, c := range rt.claimed {
-		if rt.owner[c] != net {
-			continue
-		}
-		rt.seenEp[c] = rt.epoch
-		rt.dist[c] = 0
-		rt.par[c] = -1
-		rt.bq.push(0, c)
+	// Seeds: the net's claimed tree, the ring through from. Claimed
+	// conductors are not in avail, so the search never re-discovers them.
+	fr.push(0, from)
+	for c := rt.netNext[from]; c != from; c = rt.netNext[c] {
+		fr.push(0, c)
 	}
-	g, step, tgt := rt.g, rt.step, int32(target)
+	found := false
 	for {
-		c, d, ok := rt.bq.pop()
+		c, d, ok := fr.pop()
 		if !ok {
 			break
 		}
-		if d > rt.dist[c] {
-			continue // stale entry
+		if near.has(c) {
+			par[target] = c
+			found = true
+			break
 		}
-		for k, end := g.adjOff[c], g.adjOff[c+1]; k < end; k++ {
-			e := &g.edges[k]
-			to := e.to
-			if to == tgt {
-				rt.par[to] = c
-				rt.parEdg[to] = *e
-				rt.commit(net, target)
-				return nil
-			}
-			w := step[to]
-			if w == 0 {
-				continue // claimed (tree conductors are seeds), output pin or closed edge
-			}
-			nd := d + w
-			if rt.seenEp[to] == rt.epoch && nd >= rt.dist[to] {
+		for _, p := range g.row(c) {
+			fresh := p.mask & live[p.w]
+			if fresh == 0 {
 				continue
 			}
-			rt.seenEp[to] = rt.epoch
-			rt.dist[to] = nd
-			rt.par[to] = c
-			rt.parEdg[to] = *e
-			rt.bq.push(nd, to)
+			live[p.w] &^= fresh
+			base := p.w << 6
+			for ; fresh != 0; fresh &= fresh - 1 {
+				to := base + int32(mathbits.TrailingZeros64(fresh))
+				par[to] = c
+				fr.push(d+step[to], to)
+			}
 		}
 	}
-	return fmt.Errorf("devirt: no path to conductor %d for net %d", target, net)
+	fr.reset()
+	for _, p := range trow {
+		near[p.w] = 0
+	}
+	if !found {
+		return fmt.Errorf("devirt: no path to conductor %d for net %d", target, net)
+	}
+	rt.commit(net, from, target)
+	return nil
 }
 
-// commit claims the found path and drives its switches.
-func (rt *Router) commit(net int32, target int) {
-	c := int32(target)
-	for c != -1 && rt.owner[c] != net {
+// commit claims the found path into the net's ring and drives its
+// switches: for every conductor on it, the first edge from its parent
+// in adjacency order.
+func (rt *Router) commit(net, from, c int32) {
+	for rt.owner[c] != net {
+		p := rt.par[c]
 		rt.claim(c, net)
-		e := &rt.parEdg[c]
+		rt.netNext[c], rt.netNext[from] = rt.netNext[from], c
+		e := rt.g.firstEdge(p, c)
 		m := int(e.member)
 		if !rt.dirty[m] {
 			rt.dirty[m] = true
@@ -334,15 +332,14 @@ func (rt *Router) commit(net int32, target int) {
 		for b := 0; b < int(e.nbits); b++ {
 			vec.Set(int(e.first)+b, true)
 		}
-		c = rt.par[c]
+		c = p
 	}
 }
 
 // Owner returns the net id claiming an I/O code's conductor, or -1.
 func (rt *Router) Owner(code IOCode) (int, error) {
-	c := rt.g.condFor(code)
-	if c < 0 {
-		_, err := rt.g.r.CondForCode(code)
+	c, err := rt.g.cond(code)
+	if err != nil {
 		return 0, err
 	}
 	return int(rt.owner[c]), nil
@@ -358,9 +355,6 @@ func (rt *Router) Owner(code IOCode) (int, error) {
 // example) must copy them out — Clone, or MergeMember into its own
 // storage — before the router goes back to the pool.
 func (rt *Router) Configs() []*arch.MacroConfig { return rt.configs }
-
-// MemberDirty reports whether the decode drove any switch of member m.
-func (rt *Router) MemberDirty(m int) bool { return rt.dirty[m] }
 
 // MergeMember ORs member m's routed switch bits into dst, word at a
 // time, skipping members the decode never touched. This is the

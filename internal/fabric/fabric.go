@@ -27,7 +27,12 @@ type Fabric struct {
 	// free counts the NoTask entries of owner; Allocate and Release are
 	// the only writers of either.
 	free int
+	// rects is the rectangle each task holds — one at a time — so
+	// Release walks the task's macros, not the whole owner table.
+	rects map[TaskID]rect
 }
+
+type rect struct{ x0, y0, w, h int }
 
 // New returns a blank fabric.
 func New(p arch.Params, g arch.Grid) (*Fabric, error) {
@@ -37,7 +42,8 @@ func New(p arch.Params, g arch.Grid) (*Fabric, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{p: p, g: g, raw: bitstream.New(p, g), owner: make([]TaskID, g.NumMacros()), free: g.NumMacros()}
+	f := &Fabric{p: p, g: g, raw: bitstream.New(p, g), owner: make([]TaskID, g.NumMacros()), free: g.NumMacros(),
+		rects: make(map[TaskID]rect)}
 	for i := range f.owner {
 		f.owner[i] = NoTask
 	}
@@ -71,10 +77,14 @@ func (f *Fabric) rectCheck(x0, y0, w, h int) error {
 	return nil
 }
 
-// Allocate reserves a free rectangle for a task.
+// Allocate reserves a free rectangle for a task. A task holds one
+// rectangle at a time: it must Release before it allocates again.
 func (f *Fabric) Allocate(id TaskID, x0, y0, w, h int) error {
 	if id < 0 {
 		return fmt.Errorf("fabric: invalid task id %d", id)
+	}
+	if _, held := f.rects[id]; held {
+		return fmt.Errorf("fabric: task %d already holds a rectangle", id)
 	}
 	if err := f.rectCheck(x0, y0, w, h); err != nil {
 		return err
@@ -92,21 +102,26 @@ func (f *Fabric) Allocate(id TaskID, x0, y0, w, h int) error {
 		}
 	}
 	f.free -= w * h
+	f.rects[id] = rect{x0, y0, w, h}
 	return nil
 }
 
 // Release clears ownership and configuration of every macro owned by
 // the task and returns how many macros were freed.
 func (f *Fabric) Release(id TaskID) int {
-	n := 0
-	for i, o := range f.owner {
-		if o != id {
-			continue
-		}
-		f.owner[i] = NoTask
-		f.raw.Configs[i].Vec().Clear()
-		n++
+	r, held := f.rects[id]
+	if !held {
+		return 0
 	}
+	delete(f.rects, id)
+	for y := r.y0; y < r.y0+r.h; y++ {
+		for x := r.x0; x < r.x0+r.w; x++ {
+			i := f.g.Index(x, y)
+			f.owner[i] = NoTask
+			f.raw.Configs[i].Vec().Clear()
+		}
+	}
+	n := r.w * r.h
 	f.free += n
 	return n
 }

@@ -71,6 +71,54 @@ func TestReleaseClearsConfiguration(t *testing.T) {
 	}
 }
 
+// TestReleaseLeavesNeighbourUntouched: Release walks the rectangle
+// recorded at Allocate, so a same-sized neighbour sharing an edge with
+// the released task keeps every owner entry and every configuration
+// bit, the count returned is the rectangle's, and the id can allocate
+// again only once it has let go.
+func TestReleaseLeavesNeighbourUntouched(t *testing.T) {
+	f := newFabric(t)
+	rng := rand.New(rand.NewSource(5))
+	for id, x0 := range map[TaskID]int{1: 1, 2: 4} { // 3x2 each, abutting at x=4
+		if err := f.Allocate(id, x0, 2, 3, 2); err != nil {
+			t.Fatal(err)
+		}
+		for y := 2; y < 4; y++ {
+			for x := x0; x < x0+3; x++ {
+				f.Config().At(x, y).Vec().Or(randomMacro(rng, f.Params()).Vec())
+			}
+		}
+	}
+	if err := f.Allocate(1, 0, 6, 1, 1); err == nil {
+		t.Fatal("second rectangle for a task that still holds one accepted")
+	}
+	neighbour := f.Config().Clone()
+	if n := f.Release(1); n != 6 {
+		t.Fatalf("Release freed %d macros, want 6", n)
+	}
+	g := f.Grid()
+	for y := 0; y < g.Height; y++ {
+		for x := 0; x < g.Width; x++ {
+			in2 := x >= 4 && x < 7 && y >= 2 && y < 4
+			if want := map[bool]TaskID{true: 2, false: NoTask}[in2]; f.OwnerAt(x, y) != want {
+				t.Errorf("owner at (%d,%d) = %d, want %d", x, y, f.OwnerAt(x, y), want)
+			}
+			switch cfg := f.Config().At(x, y).Vec(); {
+			case in2 && !cfg.Equal(neighbour.At(x, y).Vec()):
+				t.Errorf("neighbour's macro (%d,%d) changed", x, y)
+			case !in2 && cfg.OnesCount() != 0:
+				t.Errorf("released macro (%d,%d) keeps configuration bits", x, y)
+			}
+		}
+	}
+	if f.FreeMacros() != recountFree(f) || f.Release(1) != 0 {
+		t.Error("free counter off, or a second Release freed something")
+	}
+	if err := f.Allocate(1, 0, 6, 1, 1); err != nil {
+		t.Errorf("released task cannot allocate again: %v", err)
+	}
+}
+
 func TestAllocateBounds(t *testing.T) {
 	f := newFabric(t)
 	cases := [][4]int{{-1, 0, 2, 2}, {0, -1, 2, 2}, {7, 0, 2, 2}, {0, 7, 1, 2}, {0, 0, 0, 1}, {0, 0, 9, 1}}
