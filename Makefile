@@ -34,13 +34,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteMatchesReference$$' -fuzztime 10s ./internal/devirt/
 
 # bench-smoke is the CI guard: every decode benchmark must still run —
-# the facade's, and the two on the bench's own mid containers.
+# the facade's, and the two on the bench's own mid containers — and so
+# must the batch-envelope frame codec (flate vs raw).
 # Performance numbers come from `go run ./bench` (see BENCHMARK.json and
 # bench/README.md), not from here.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$|BenchmarkParallelDecode$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeMid$$' -benchtime 1x ./internal/controller/
 	$(GO) test -run '^$$' -bench 'BenchmarkParseMid$$' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchFrame$$' -benchtime 1x ./internal/transport/
 
 # persist-smoke proves the vbsd -data-dir durability loop against a
 # real daemon and a SIGKILL (see scripts/persistence_smoke.sh).

@@ -51,10 +51,15 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sb.idx = append(sb.idx, i)
 		sb.ops = append(sb.ops, op)
 	}
-	// blobs keeps each load's decoded container for post-placement
-	// replication; nodeOf records where an op was routed; unloads maps
-	// result index to the gateway task whose mapping must go.
-	blobs := map[int][]byte{}
+	// blobs keeps each load's decoded container and its digest (hashed
+	// once, for routing and replication both); nodeOf records where an
+	// op was routed; unloads maps result index to the gateway task
+	// whose mapping must go.
+	type blob struct {
+		data   []byte
+		digest repo.Digest
+	}
+	blobs := map[int]blob{}
 	nodeOf := map[int]string{}
 	unloads := map[int]*gwTask{}
 	var topo []nodeFabrics
@@ -71,6 +76,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[i] = server.BatchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("bad vbs base64: %v", err)}
 				continue
 			}
+			digest := repo.DigestOf(data)
 			var target string
 			if op.Fabric != nil {
 				// A pinned fleet-global fabric names its node outright.
@@ -89,14 +95,14 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				op.Fabric = &lf
 				target = node
 			} else {
-				own := g.owners(repo.DigestOf(data))
+				own := g.owners(digest)
 				if len(own) == 0 {
 					results[i] = server.BatchResult{Status: http.StatusServiceUnavailable, Error: "cluster: no node available for load"}
 					continue
 				}
 				target = own[0]
 			}
-			blobs[i] = data
+			blobs[i] = blob{data, digest}
 			nodeOf[i] = target
 			assign(target, i, op)
 		case "get":
@@ -165,10 +171,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// their content address, drop unloaded task mappings, and collect
 	// each distinct admitted blob for replication.
 	type replJob struct {
-		data   []byte
+		blob
 		holder string
 	}
-	repl := map[string]replJob{}
+	repl := map[repo.Digest]replJob{}
 	for i := range results {
 		if t, ok := unloads[i]; ok {
 			if results[i].Status == http.StatusNoContent || results[i].Status == http.StatusNotFound {
@@ -191,7 +197,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			g.scheduleRepair(d, data, nodeOf[i])
 			continue
 		}
-		data, isLoad := blobs[i]
+		b, isLoad := blobs[i]
 		if !isLoad || results[i].Status != http.StatusCreated || results[i].Load == nil {
 			continue
 		}
@@ -206,13 +212,12 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if gi := globalFabric(topo, node, lr.Fabric); gi >= 0 {
 			lr.Fabric = gi
 		}
-		if _, seen := repl[lr.Digest]; !seen {
-			repl[lr.Digest] = replJob{data: data, holder: node}
+		if _, seen := repl[b.digest]; !seen {
+			repl[b.digest] = replJob{blob: b, holder: node}
 		}
 	}
-	for _, job := range repl {
-		d := repo.DigestOf(job.data)
-		g.replicate(r.Context(), job.data, g.curRing().Lookup(d, g.replicas), job.holder)
+	for d, job := range repl {
+		g.replicate(r.Context(), d, job.data, g.curRing().Lookup(d, g.replicas), job.holder)
 	}
 	writeJSON(w, http.StatusOK, server.BatchResponse{Results: results})
 }

@@ -124,6 +124,100 @@ func TestGatewayStreamsEngage(t *testing.T) {
 	}
 }
 
+// TestGatewayBatchFramesRaw pins the batch RPC's FlagRaw in both
+// directions: a mixed batch over live streams moves no flate bytes on
+// the gateway or on either node, while raw bytes grow by at least the
+// containers carried — loads on the gateway's request frames, gets on
+// the nodes' reply frames.
+func TestGatewayBatchFramesRaw(t *testing.T) {
+	c, _, nodes := newCluster(t, 2, 2, cluster.Options{Replicas: 2})
+	const (
+		flated = "vbs_transport_sent_compressed_bytes_total"
+		raw    = "vbs_transport_sent_raw_bytes_total"
+	)
+	batch := func(ops []server.BatchOp, want []int) server.BatchResponse {
+		t.Helper()
+		resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range resp.Results {
+			if r.Status != want[i] {
+				t.Fatalf("op %d: status %d (error %q), want %d", i, r.Status, r.Error, want[i])
+			}
+		}
+		return resp
+	}
+	newLoads := func(seed int64) (ops []server.BatchOp, want []int, datas [][]byte, size int) {
+		for i := int64(0); i < 4; i++ {
+			data := makeVBS(t, seed+i, 6)
+			datas = append(datas, data)
+			ops = append(ops, server.BatchLoadOp(data))
+			want = append(want, http.StatusCreated)
+			size += len(data)
+		}
+		return ops, want, datas, size
+	}
+
+	// Streams open on first use: a warm-up batch dials them, and its
+	// blobs are what the measured batch gets back and unloads.
+	warmOps, warmWant, warm, getSize := newLoads(700)
+	placed := batch(warmOps, warmWant)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, n := range nodes {
+		for metricValue(t, n.url, "vbs_transport_streams_open") < 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("stream to %s never opened", n.url)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	for _, r := range placed.Results {
+		waitReplicas(t, nodes, r.Load.Digest, 2)
+	}
+
+	bases := []string{c.Base()}
+	for _, n := range nodes {
+		bases = append(bases, n.url)
+	}
+	before := map[string][2]float64{}
+	for _, b := range bases {
+		before[b] = [2]float64{metricValue(t, b, flated), metricValue(t, b, raw)}
+	}
+
+	ops, want, _, loadSize := newLoads(800)
+	for i := range warm {
+		ops = append(ops,
+			server.BatchOp{Op: "get", Digest: repo.DigestOf(warm[i]).String()},
+			server.BatchOp{Op: "unload", ID: placed.Results[i].Load.ID})
+		want = append(want, http.StatusOK, http.StatusNoContent)
+	}
+	batch(ops, want)
+
+	// The sender books a frame after writing it, which can trail the
+	// reply: poll the raw growth, then hold the flate counters to zero.
+	for {
+		gwRaw := metricValue(t, c.Base(), raw) - before[c.Base()][1]
+		var nodeRaw float64
+		for _, n := range nodes {
+			nodeRaw += metricValue(t, n.url, raw) - before[n.url][1]
+		}
+		if gwRaw >= float64(loadSize) && nodeRaw >= float64(getSize) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("raw bytes grew %v on the gateway (loads %d B), %v on the nodes (gets %d B)",
+				gwRaw, loadSize, nodeRaw, getSize)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	for _, b := range bases {
+		if got := metricValue(t, b, flated); got != before[b][0] {
+			t.Errorf("%s: %s moved %v -> %v", b, flated, before[b][0], got)
+		}
+	}
+}
+
 // TestGatewayBatchStreamsDisabled pins the HTTP fallback: with
 // DisableStreams the whole batched path still works end to end.
 func TestGatewayBatchStreamsDisabled(t *testing.T) {

@@ -467,7 +467,7 @@ func localFabric(topo []nodeFabrics, global int) (string, int, bool) {
 // Force: replication carries the same user intent as the write it
 // fans out — it must land even on a node still holding a tombstone
 // from an earlier delete of the same bytes.
-func (g *Gateway) replicate(ctx context.Context, data []byte, owners []string, holder string) {
+func (g *Gateway) replicate(ctx context.Context, digest repo.Digest, data []byte, owners []string, holder string) {
 	var httpTargets []string
 	var msg []byte
 	for _, n := range owners {
@@ -480,7 +480,7 @@ func (g *Gateway) replicate(ctx context.Context, data []byte, owners []string, h
 			continue
 		}
 		if msg == nil {
-			msg = objPutMsg(data, true)
+			msg = transport.EncodeObjPut(digest, true, data)
 		}
 		err := st.Send(ctx, msg, true, func(err error) {
 			if err != nil {
@@ -603,7 +603,7 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 	// Write-through replication: the blob must survive the loss of
 	// any replicas-1 nodes before the client hears "created".
-	g.replicate(r.Context(), data, owners, onNode)
+	g.replicate(r.Context(), digest, data, owners, onNode)
 
 	g.mu.Lock()
 	id := g.nextID

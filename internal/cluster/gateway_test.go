@@ -265,12 +265,20 @@ func TestGatewayReadRepair(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	var st cluster.StatsResponse
-	if _, err := getJSON(cl, "/stats", &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Cluster.ScatterFallbacks == 0 || st.Cluster.ReadRepairs == 0 {
-		t.Errorf("repair counters = %+v", st.Cluster)
+	// ReadRepairs is bumped only after the repair write returns, which
+	// can trail the owners already holding the blob: poll, don't read once.
+	for {
+		var st cluster.StatsResponse
+		if _, err := getJSON(cl, "/stats", &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Cluster.ScatterFallbacks > 0 && st.Cluster.ReadRepairs > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("repair counters = %+v", st.Cluster)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

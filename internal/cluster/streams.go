@@ -97,13 +97,6 @@ func (p *streamPool) closeAll() {
 	}
 }
 
-// objPutMsg encodes a blob put for the stream: the container ships
-// raw (it is already LZSS-compressed end to end), addressed by its
-// content digest which the node re-verifies on arrival.
-func objPutMsg(data []byte, force bool) []byte {
-	return transport.EncodeObjPut([32]byte(repo.DigestOf(data)), force, data)
-}
-
 // putBlobNode copies a blob to one node synchronously — one RPC over
 // its stream when live, else HTTP with transport retries. Repair and
 // rebalance copies come through here because they need a definite
@@ -114,7 +107,7 @@ func (g *Gateway) putBlobNode(ctx context.Context, node string, data []byte, for
 	var out server.PutVBSResponse
 	if st := g.streams.ready(node); st != nil {
 		hctx, cancel := context.WithTimeout(ctx, g.hop)
-		resp, err := st.Call(hctx, objPutMsg(data, force), true)
+		resp, err := st.Call(hctx, transport.EncodeObjPut(repo.DigestOf(data), force, data), true)
 		cancel()
 		if err == nil {
 			derr := server.DecodeStreamResult(resp, &out)
@@ -152,7 +145,9 @@ func (g *Gateway) nodeBatch(ctx context.Context, node string, req server.BatchRe
 			return out, err
 		}
 		hctx, cancel := context.WithTimeout(ctx, g.hop)
-		resp, cerr := st.Call(hctx, transport.EncodeMsg(transport.MsgBatch, body), false)
+		// Raw: the body is mostly base64'd LZSS containers; per-frame
+		// flate would build Huffman tables per frame for little gain.
+		resp, cerr := st.Call(hctx, transport.EncodeMsg(transport.MsgBatch, body), true)
 		cancel()
 		if cerr == nil {
 			derr := server.DecodeStreamResult(resp, &out)

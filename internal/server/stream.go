@@ -89,7 +89,9 @@ func (s *Server) streamCall(msg []byte) ([]byte, bool) {
 			return streamErr(status, err.Error()), false
 		}
 		body, _ := json.Marshal(resp)
-		return transport.EncodeResult(http.StatusOK, body), false
+		// Raw, like the request: a batch reply carries the gets'
+		// containers, already LZSS-compressed.
+		return transport.EncodeResult(http.StatusOK, body), true
 	default:
 		return streamErr(http.StatusBadRequest,
 			fmt.Sprintf("unknown stream message kind %d", transport.MsgKind(msg))), false

@@ -24,9 +24,13 @@
 // processed; the sender holds unacked frames for retransmission after
 // a reconnect). Req frames are RPCs answered by a resp frame carrying
 // the same sequence number. Payloads may be flate-compressed per
-// frame; VBS containers are already LZSS-compressed, so blob-carrying
-// messages set FlagRaw and ship verbatim — compressed end to end, the
-// paper's design point carried across the wire.
+// frame, and the choice belongs to the message kind: a message whose
+// bytes are dominated by already-compressed VBS containers sets
+// FlagRaw and ships verbatim — MsgObjPut (one LZSS blob) and MsgBatch
+// in both directions (base64'd containers in a JSON envelope).
+// Containers stay compressed end to end, the paper's design point
+// carried across the wire; flate remains for small control envelopes
+// only.
 package transport
 
 import (
@@ -99,6 +103,12 @@ var flateWriters = sync.Pool{
 		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
 		return w
 	},
+}
+
+// flateReaders pools decompressors; every flate.NewReader result is
+// also a flate.Resetter, so a pooled one is re-aimed per frame.
+var flateReaders = sync.Pool{
+	New: func() any { return flate.NewReader(bytes.NewReader(nil)) },
 }
 
 // Frame is one decoded protocol unit. After ReadFrame, Payload holds
@@ -207,8 +217,12 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, int, error) {
 // inflate decompresses a flate payload, bounding the decoded size so
 // a hostile frame cannot balloon memory.
 func inflate(p []byte, max int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(p))
-	defer fr.Close()
+	fr := flateReaders.Get().(io.ReadCloser)
+	defer flateReaders.Put(fr)
+	// Reset re-arms a reader left mid-stream or errored by its last frame.
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(p), nil); err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
 	n, err := io.Copy(&buf, io.LimitReader(fr, int64(max)+1))
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -160,6 +161,47 @@ func TestReadFrameRejects(t *testing.T) {
 			t.Fatalf("got %v, want ErrBadFrame", err)
 		}
 	})
+}
+
+// TestInflatePoolReuse decodes alternating large, small and oversize
+// flate frames, so every decode after the first runs on a pooled
+// decompressor that the previous frame left finished, short or
+// errored: each must return the exact bytes, and the decoded-size
+// bound must still reject after a reuse.
+func TestInflatePoolReuse(t *testing.T) {
+	const maxPayload = 64 << 10
+	rng := rand.New(rand.NewSource(11))
+	large := append(bytes.Repeat([]byte("virtual bitstream "), 3000), randBytes(rng, 4096)...)
+	small := bytes.Repeat([]byte("vbs"), flateMin)
+	oversize := make([]byte, maxPayload+1)
+	frame := func(payload []byte) []byte {
+		var buf bytes.Buffer
+		if _, compressed, err := WriteFrame(&buf, Frame{Type: FrameReq, Payload: payload}, true); err != nil || !compressed {
+			t.Fatalf("%d-byte payload: compressed %v, err %v", len(payload), compressed, err)
+		}
+		return buf.Bytes()
+	}
+	wires := map[string][]byte{"large": frame(large), "small": frame(small), "oversize": frame(oversize)}
+	for round := 0; round < 4; round++ {
+		for _, c := range []struct {
+			name string
+			want []byte
+		}{{"large", large}, {"small", small}, {"oversize", nil}} {
+			got, _, err := ReadFrame(bytes.NewReader(wires[c.name]), maxPayload)
+			if c.want == nil {
+				if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "decoded payload exceeds 65536 bytes") {
+					t.Fatalf("round %d: oversize frame: got %v, want the decoded-size bound", round, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("round %d: %s frame: %v", round, c.name, err)
+			}
+			if !bytes.Equal(got.Payload, c.want) {
+				t.Fatalf("round %d: %s frame decoded to different bytes", round, c.name)
+			}
+		}
+	}
 }
 
 // TestFrameStreamSequence decodes several concatenated frames from one

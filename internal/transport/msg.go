@@ -16,7 +16,8 @@ const (
 	// MsgPing is an empty health-check RPC.
 	MsgPing byte = 0x02
 	// MsgBatch is a JSON server.BatchRequest RPC; the resp body is a
-	// JSON server.BatchResponse.
+	// JSON server.BatchResponse. Both frames ride FlagRaw: the bodies
+	// are mostly base64'd containers.
 	MsgBatch byte = 0x03
 )
 
