@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 # lint runs cmd/vbslint — the in-repo invariant analyzers (errwrap,
-# ctxclient, poolescape, lockio, atomicfaults, metricreg) plus go vet —
+# poolescape, lockio, atomicfaults, metricreg) plus go vet —
 # over the whole tree, tests included; staticcheck rides along when
 # installed.
 lint:

@@ -162,7 +162,7 @@ func BenchmarkDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.Decode(); err != nil {
+				if _, err := v.Decode(1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,7 +185,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.DecodeParallel(0); err != nil {
+				if _, err := v.Decode(0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,7 +27,8 @@
 // POST /tasks/{id}/relocate, POST /fabrics/{i}/compact, GET /fabrics,
 // GET /vbs, GET /vbs/{digest}, DELETE /vbs/{digest}, GET /stats,
 // GET /healthz, POST /jobs, GET /jobs, GET /jobs/{id},
-// DELETE /jobs/{id}, GET /metrics.
+// DELETE /jobs/{id}, GET /metrics, and GET /stream — the frame-stream
+// upgrade a vbsgw gateway rides for replication and batch fan-out.
 package main
 
 import (
@@ -66,7 +67,6 @@ func main() {
 		warm      = flag.Int("warm", 0, "with -data-dir, pre-decode up to N stored blobs into the cache at boot (-1 = all, 0 = off)")
 		chaos     = flag.Bool("chaos", false, "expose /chaos/faults fault-injection endpoints (testing only)")
 		tombTTL   = flag.Duration("tombstone-ttl", 0, "with -data-dir, how long DELETE /vbs tombstones block re-replication (0 = 24h default)")
-		streams   = flag.Bool("streams", true, "serve the persistent frame-stream endpoint (GET /stream) for gateway replication and batches")
 	)
 	flag.Parse()
 
@@ -88,14 +88,13 @@ func main() {
 	}
 
 	srv, err := server.New(ctrls, server.Options{
-		CacheBits:      *cacheMbit * 1_000_000,
-		StoreBytes:     *storeMB * 1_000_000,
-		DecodeWorkers:  *workers,
-		Policy:         *policy,
-		DataDir:        *dataDir,
-		EnableChaos:    *chaos,
-		TombstoneTTL:   *tombTTL,
-		DisableStreams: !*streams,
+		CacheBits:     *cacheMbit * 1_000_000,
+		StoreBytes:    *storeMB * 1_000_000,
+		DecodeWorkers: *workers,
+		Policy:        *policy,
+		DataDir:       *dataDir,
+		EnableChaos:   *chaos,
+		TombstoneTTL:  *tombTTL,
 	})
 	if err != nil {
 		log.Fatalf("vbsd: %v", err)

@@ -59,7 +59,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	target := bitstream.New(v.P, grid)
-	if err := v.DecodeInto(target, *x, *y); err != nil {
+	if err := v.DecodeInto(target, *x, *y, 1); err != nil {
 		return err
 	}
 

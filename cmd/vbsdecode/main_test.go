@@ -79,7 +79,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("decoded bitstream not equivalent to design: %v", err)
 	}
 	// And it must match the reference decoder bit for bit.
-	ref, err := c.VBS.Decode()
+	ref, err := c.VBS.Decode(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDecodeAtOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.VBS.Decode()
+	ref, err := c.VBS.Decode(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,12 @@
 // their progress; "reconcile" re-syncs the gateway task table against
 // the nodes' own listings. GET /metrics exposes Prometheus text —
 // gateway op latency histograms, cluster gauges, rebalance counters,
-// job progress. Idempotent hops retry transport failures with capped
-// backoff (-retry-attempts / -retry-backoff). Admin verbs drive a
-// running gateway:
+// job progress. Replication, repair copies and batch fan-out ride one
+// persistent frame stream per node, falling back to per-call HTTP
+// while a stream is down or a node answers GET /stream with 404.
+// Idempotent hops retry transport failures with capped backoff
+// (-retry-attempts / -retry-backoff). Admin verbs drive a running
+// gateway:
 //
 //	vbsgw node ls      -gw http://localhost:8930
 //	vbsgw node add     -gw http://localhost:8930 http://n4:8931
@@ -86,7 +89,6 @@ func serve(args []string) {
 		retries   = fs.Int("retry-attempts", 0, "tries per idempotent hop before failover (0 = 3, 1 = no retries)")
 		retryBase = fs.Duration("retry-backoff", 0, "first retry delay, doubled per attempt with jitter (0 = 25ms)")
 		rebalance = fs.Duration("rebalance-interval", 0, "background rebalance pass interval (0 = 60s, negative = disabled)")
-		streams   = fs.Bool("streams", true, "use persistent per-node frame streams for replication, repair copies and batch fan-out")
 	)
 	_ = fs.Parse(args)
 
@@ -109,7 +111,6 @@ func serve(args []string) {
 		RetryAttempts:     *retries,
 		RetryBackoff:      *retryBase,
 		RebalanceInterval: *rebalance,
-		DisableStreams:    !*streams,
 	})
 	if err != nil {
 		log.Fatalf("vbsgw: %v", err)

@@ -115,7 +115,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"errwrap", "ctxclient", "poolescape", "lockio", "atomicfaults"} {
+	for _, name := range []string{"errwrap", "poolescape", "lockio", "atomicfaults", "metricreg"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

@@ -152,8 +152,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	ctx := context.Background()
 	cl := server.NewClient(*url, nil)
-	fabrics, err := cl.Fabrics()
+	fabrics, err := cl.Fabrics(ctx)
 	if err != nil || len(fabrics) == 0 {
 		fmt.Fprintf(stderr, "vbsload: cannot read %s/fabrics: %v\n", *url, err)
 		return 1
@@ -171,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var before []metrics.Sample
 	if *scrape != "" {
-		if before, err = server.NewClient(*scrape, nil).MetricsCtx(context.Background()); err != nil {
+		if before, err = server.NewClient(*scrape, nil).Metrics(ctx); err != nil {
 			fmt.Fprintf(stderr, "vbsload: cannot scrape %s/metrics: %v\n", *scrape, err)
 			return 1
 		}
@@ -179,19 +180,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	bench := newBench(cl, containers, weights, *seed)
 	bench.batch = *batch
-	wall := bench.run(*workers, *ops, *duration)
+	wall := bench.run(ctx, *workers, *ops, *duration)
 
 	var after []metrics.Sample
 	if *scrape != "" {
 		// Scrape before the cleanup drain so the window covers exactly
 		// the measured ops.
-		if after, err = server.NewClient(*scrape, nil).MetricsCtx(context.Background()); err != nil {
+		if after, err = server.NewClient(*scrape, nil).Metrics(ctx); err != nil {
 			fmt.Fprintf(stderr, "vbsload: cannot scrape %s/metrics: %v\n", *scrape, err)
 			return 1
 		}
 	}
 	if *cleanup {
-		bench.drain()
+		bench.drain(ctx)
 	}
 
 	s := bench.summarize(*url, *workers, *mix, wall)
@@ -359,12 +360,12 @@ func (b *bench) record(op opKind, start time.Time, err error) {
 	b.classify(op, err)
 }
 
-func (b *bench) doOne(rng *rand.Rand) {
+func (b *bench) doOne(ctx context.Context, rng *rand.Rand) {
 	switch op := b.pick(rng); op {
 	case opLoad:
 		data := b.containers[rng.Intn(len(b.containers))]
 		start := time.Now()
-		res, err := b.cl.Load(data, nil, nil, nil)
+		res, err := b.cl.Load(ctx, data, server.LoadRequest{})
 		b.record(op, start, err)
 		if err == nil {
 			b.mu.Lock()
@@ -377,7 +378,7 @@ func (b *bench) doOne(rng *rand.Rand) {
 		d := b.digests[rng.Intn(len(b.digests))]
 		b.mu.Unlock()
 		start := time.Now()
-		_, err := b.cl.GetVBS(d)
+		_, err := b.cl.GetVBS(ctx, d)
 		b.record(op, start, err)
 	case opUnload:
 		b.mu.Lock()
@@ -391,7 +392,7 @@ func (b *bench) doOne(rng *rand.Rand) {
 		b.loaded = b.loaded[:len(b.loaded)-1]
 		b.mu.Unlock()
 		start := time.Now()
-		err := b.cl.Unload(id)
+		err := b.cl.Unload(ctx, id)
 		b.record(op, start, err)
 	}
 }
@@ -400,7 +401,7 @@ func (b *bench) doOne(rng *rand.Rand) {
 // round trip. The batch latency is recorded once in the batch
 // scoreboard and amortized (batch wall / n) into the per-op series so
 // the per-op percentiles reflect effective per-op cost.
-func (b *bench) doBatch(rng *rand.Rand, n int) {
+func (b *bench) doBatch(ctx context.Context, rng *rand.Rand, n int) {
 	kinds := make([]opKind, 0, n)
 	ops := make([]server.BatchOp, 0, n)
 	for i := 0; i < n; i++ {
@@ -433,7 +434,7 @@ func (b *bench) doBatch(rng *rand.Rand, n int) {
 	}
 
 	start := time.Now()
-	resp, err := b.cl.BatchCtx(context.Background(), server.BatchRequest{Ops: ops})
+	resp, err := b.cl.Batch(ctx, server.BatchRequest{Ops: ops})
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	perOp := ms / float64(len(ops))
 
@@ -476,7 +477,7 @@ func appendUnique(s []string, v string) []string {
 
 // run fans workers out until the op budget or the clock runs dry and
 // returns the wall time.
-func (b *bench) run(workers, ops int, duration time.Duration) time.Duration {
+func (b *bench) run(ctx context.Context, workers, ops int, duration time.Duration) time.Duration {
 	var counter atomic.Int64
 	deadline := time.Now().Add(duration)
 	start := time.Now()
@@ -505,9 +506,9 @@ func (b *bench) run(workers, ops int, duration time.Duration) time.Duration {
 					return
 				}
 				if b.batch > 1 {
-					b.doBatch(rng, n)
+					b.doBatch(ctx, rng, n)
 				} else {
-					b.doOne(rng)
+					b.doOne(ctx, rng)
 				}
 			}
 		}(i)
@@ -517,13 +518,13 @@ func (b *bench) run(workers, ops int, duration time.Duration) time.Duration {
 }
 
 // drain unloads everything the run left behind (not measured).
-func (b *bench) drain() {
+func (b *bench) drain(ctx context.Context) {
 	b.mu.Lock()
 	ids := append([]int64(nil), b.loaded...)
 	b.loaded = nil
 	b.mu.Unlock()
 	for _, id := range ids {
-		_ = b.cl.Unload(id)
+		_ = b.cl.Unload(ctx, id)
 	}
 }
 

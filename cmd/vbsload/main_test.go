@@ -64,7 +64,7 @@ func TestRunJSONSummary(t *testing.T) {
 
 	// Cleanup drained every loaded task.
 	cl := server.NewClient(url, nil)
-	tasks, err := cl.Tasks()
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRunBatch(t *testing.T) {
 		t.Errorf("batch percentiles inconsistent: %+v", s.Batch)
 	}
 	// Cleanup drained every loaded task.
-	tasks, err := server.NewClient(url, nil).Tasks()
+	tasks, err := server.NewClient(url, nil).Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func main() {
 			log.Fatalf("cluster %d: %v", cluster, err)
 		}
 		start := time.Now()
-		if _, err := v.Decode(); err != nil {
+		if _, err := v.Decode(1); err != nil {
 			log.Fatal(err)
 		}
 		decode := time.Since(start)

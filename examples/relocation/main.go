@@ -57,7 +57,7 @@ func main() {
 	var reference *bitstream.Raw
 	for _, pos := range positions {
 		target := bitstream.New(v.P, g)
-		if err := v.DecodeInto(target, pos.x, pos.y); err != nil {
+		if err := v.DecodeInto(target, pos.x, pos.y, 1); err != nil {
 			log.Fatalf("decode at (%d,%d): %v", pos.x, pos.y, err)
 		}
 		if reference == nil {

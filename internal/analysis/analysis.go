@@ -13,8 +13,6 @@
 //
 //   - errwrap: an error formatted into fmt.Errorf with %v/%s/%q hides
 //     it from errors.Is/errors.As (the store.ErrDisk %v-wrap bug).
-//   - ctxclient: context-less server.Client wrappers called from
-//     request-path packages drop cancellation on the data plane.
 //   - poolescape: memory reachable from a pooled devirt router must
 //     not be retained past Release (the Configs ownership contract).
 //   - lockio: a mutex held across an HTTP or disk call serializes the

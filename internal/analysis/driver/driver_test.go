@@ -49,7 +49,7 @@ var d = 4
 		{"errwrap", 6, true},  // trailing directive covers its line
 		{"lockio", 6, true},   // comma-separated list
 		{"poolescape", 6, false},
-		{"ctxclient", 12, true}, // "all" suppresses every analyzer
+		{"metricreg", 12, true}, // "all" suppresses every analyzer
 	}
 	for _, c := range checks {
 		if got := sup.matches(c.analyzer, at(c.line)); got != c.want {

@@ -6,7 +6,6 @@ package suite
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicfaults"
-	"repro/internal/analysis/ctxclient"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/lockio"
 	"repro/internal/analysis/metricreg"
@@ -17,7 +16,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicfaults.Analyzer,
-		ctxclient.Analyzer,
 		errwrap.Analyzer,
 		lockio.Analyzer,
 		metricreg.Analyzer,

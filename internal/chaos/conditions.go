@@ -56,7 +56,7 @@ func checkBlobsRetrievable(ctx context.Context, e *Env) error {
 	}
 	sort.Strings(digests)
 	for _, d := range digests {
-		data, err := e.Fleet.Client.GetVBSCtx(ctx, d)
+		data, err := e.Fleet.Client.GetVBS(ctx, d)
 		if err != nil {
 			return fmt.Errorf("acked digest %.12s not retrievable: %w", d, err)
 		}
@@ -76,7 +76,7 @@ func checkReplicasConverge(ctx context.Context, e *Env) error {
 	if alive := e.Fleet.AliveNodes(); alive < want {
 		want = alive
 	}
-	listing, err := e.Fleet.Client.ListVBSCtx(ctx)
+	listing, err := e.Fleet.Client.ListVBS(ctx)
 	if err != nil {
 		return fmt.Errorf("merged vbs listing: %w", err)
 	}
@@ -88,7 +88,7 @@ func checkReplicasConverge(ctx context.Context, e *Env) error {
 		if got := replicas[d]; got < want {
 			// Nudge: a gateway read schedules the owner-verification
 			// sweep that heals the set.
-			_, _ = e.Fleet.Client.GetVBSCtx(ctx, d)
+			_, _ = e.Fleet.Client.GetVBS(ctx, d)
 			return fmt.Errorf("digest %.12s on %d node(s), want %d", d, got, want)
 		}
 	}
@@ -103,7 +103,7 @@ func checkNoOrphanedOccupancy(ctx context.Context, e *Env) error {
 		if !n.Alive() {
 			continue
 		}
-		fabrics, err := n.Client().FabricsCtx(ctx)
+		fabrics, err := n.Client().Fabrics(ctx)
 		if err != nil {
 			return fmt.Errorf("%s fabrics: %w", n.Name(), err)
 		}
@@ -111,7 +111,7 @@ func checkNoOrphanedOccupancy(ctx context.Context, e *Env) error {
 		for _, f := range fabrics {
 			occupied += f.Tasks
 		}
-		tasks, err := n.Client().TasksCtx(ctx)
+		tasks, err := n.Client().Tasks(ctx)
 		if err != nil {
 			return fmt.Errorf("%s tasks: %w", n.Name(), err)
 		}
@@ -125,7 +125,7 @@ func checkNoOrphanedOccupancy(ctx context.Context, e *Env) error {
 // checkNoTaskResurrection: no task whose unload the gateway acked is
 // listed again.
 func checkNoTaskResurrection(ctx context.Context, e *Env) error {
-	tasks, err := e.Fleet.Client.TasksCtx(ctx)
+	tasks, err := e.Fleet.Client.Tasks(ctx)
 	if err != nil {
 		return fmt.Errorf("gateway tasks: %w", err)
 	}
@@ -147,7 +147,7 @@ func checkNoTaskResurrection(ctx context.Context, e *Env) error {
 // dropped its scrape endpoint (or a registration bug that emptied a
 // family) is an observability outage even when the data plane heals.
 func checkMetricsScrapeable(ctx context.Context, e *Env) error {
-	gw, err := e.Fleet.Client.MetricsCtx(ctx)
+	gw, err := e.Fleet.Client.Metrics(ctx)
 	if err != nil {
 		return fmt.Errorf("gateway /metrics: %w", err)
 	}
@@ -169,7 +169,7 @@ func checkMetricsScrapeable(ctx context.Context, e *Env) error {
 		if !n.Alive() {
 			continue
 		}
-		node, err := n.Client().MetricsCtx(ctx)
+		node, err := n.Client().Metrics(ctx)
 		if err != nil {
 			return fmt.Errorf("%s /metrics: %w", n.Name(), err)
 		}
@@ -218,7 +218,7 @@ func deletedBlobStaysDead(digest string) Condition {
 	return Condition{
 		Name: "deleted-blob-stays-dead",
 		Check: func(ctx context.Context, e *Env) error {
-			if _, err := e.Fleet.Client.GetVBSCtx(ctx, digest); err == nil {
+			if _, err := e.Fleet.Client.GetVBS(ctx, digest); err == nil {
 				return fmt.Errorf("deleted blob %.12s still served by the gateway", digest)
 			} else if sc := server.StatusCode(err); sc != 404 && sc != 410 {
 				return fmt.Errorf("deleted blob %.12s: unexpected gateway reply: %w", digest, err)
@@ -227,7 +227,7 @@ func deletedBlobStaysDead(digest string) Condition {
 				if !n.Alive() {
 					continue
 				}
-				blobs, err := n.Client().ListVBSCtx(ctx)
+				blobs, err := n.Client().ListVBS(ctx)
 				if err != nil {
 					return fmt.Errorf("%s vbs listing: %w", n.Name(), err)
 				}
@@ -259,7 +259,7 @@ var ownersHoldReplicas = Condition{
 			if !n.Alive() {
 				continue
 			}
-			blobs, err := n.Client().ListVBSCtx(ctx)
+			blobs, err := n.Client().ListVBS(ctx)
 			if err != nil {
 				return fmt.Errorf("%s vbs listing: %w", n.Name(), err)
 			}
@@ -309,7 +309,7 @@ func sampleValue(samples []metrics.Sample, name string) float64 {
 var streamsHealed = Condition{
 	Name: "streams-healed",
 	Check: func(ctx context.Context, e *Env) error {
-		samples, err := e.Fleet.Client.MetricsCtx(ctx)
+		samples, err := e.Fleet.Client.Metrics(ctx)
 		if err != nil {
 			return fmt.Errorf("gateway /metrics: %w", err)
 		}

@@ -87,7 +87,7 @@ func (e *Env) DeleteBlob(ctx context.Context, digest string) error {
 	e.recordFault("delete blob %.12s via gateway", digest)
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	return e.Fleet.Client.DeleteVBSCtx(cctx, digest)
+	return e.Fleet.Client.DeleteVBS(cctx, digest)
 }
 
 // CorruptBlob flips a byte in the payload tail of a digest's on-disk

@@ -92,7 +92,7 @@ func victim(ctx context.Context, e *Env) Node {
 		if !n.Alive() {
 			continue
 		}
-		blobs, err := n.Client().ListVBSCtx(ctx)
+		blobs, err := n.Client().ListVBS(ctx)
 		if err != nil {
 			continue
 		}
@@ -139,7 +139,7 @@ func waitStreamsOpen(ctx context.Context, e *Env, n int) bool {
 	deadline := time.Now().Add(e.Cfg.FaultPhase)
 	for {
 		mctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		samples, err := e.Fleet.Client.MetricsCtx(mctx)
+		samples, err := e.Fleet.Client.Metrics(mctx)
 		cancel()
 		if err == nil && sampleValue(samples, "vbs_transport_streams_open") >= float64(n) {
 			return true
@@ -175,7 +175,7 @@ func runCorruptBlob(ctx context.Context, e *Env) error {
 	for target == nil {
 		acked := e.Work.Acked()
 		for _, n := range e.Fleet.Nodes {
-			blobs, err := n.Client().ListVBSCtx(ctx)
+			blobs, err := n.Client().ListVBS(ctx)
 			if err != nil {
 				continue
 			}
@@ -214,7 +214,7 @@ func runCorruptBlob(ctx context.Context, e *Env) error {
 	Sleep(ctx, e.Cfg.FaultPhase/2)
 	// Harness sanity: the scan must have quarantined the corrupt file.
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	st, err := target.Client().StatsCtx(cctx)
+	st, err := target.Client().Stats(cctx)
 	cancel()
 	if err != nil {
 		return fmt.Errorf("stats of %s after restart: %w", target.Name(), err)
@@ -241,7 +241,7 @@ func runNodeAdd(ctx context.Context, e *Env) error {
 		return fmt.Errorf("doomed blob generation: %w", err)
 	}
 	pctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	put, err := e.Fleet.Client.PutVBS(pctx, doomedRaw)
+	put, err := e.Fleet.Client.PutVBS(pctx, doomedRaw, false)
 	cancel()
 	if err != nil {
 		return fmt.Errorf("put doomed blob: %w", err)
@@ -291,7 +291,7 @@ func runDrain(ctx context.Context, e *Env) error {
 		// errors. Re-listing each round catches loads that routed on a
 		// pre-drain ring snapshot.
 		tctx, tcancel := context.WithTimeout(ctx, 10*time.Second)
-		tasks, err := e.Fleet.Client.TasksCtx(tctx)
+		tasks, err := e.Fleet.Client.Tasks(tctx)
 		tcancel()
 		if err != nil {
 			return fmt.Errorf("gateway tasks: %w", err)
@@ -301,14 +301,14 @@ func runDrain(ctx context.Context, e *Env) error {
 				continue
 			}
 			uctx, ucancel := context.WithTimeout(ctx, 10*time.Second)
-			err := e.Fleet.Client.UnloadCtx(uctx, ti.ID)
+			err := e.Fleet.Client.Unload(uctx, ti.ID)
 			ucancel()
 			if err != nil && server.StatusCode(err) != 404 {
 				return fmt.Errorf("unload task %d off %s: %w", ti.ID, v.Name(), err)
 			}
 		}
 		bctx, bcancel := context.WithTimeout(ctx, 10*time.Second)
-		blobs, err := v.Client().ListVBSCtx(bctx)
+		blobs, err := v.Client().ListVBS(bctx)
 		bcancel()
 		if err != nil {
 			return fmt.Errorf("%s vbs listing: %w", v.Name(), err)

@@ -189,7 +189,7 @@ func (w *Workload) doOne(ctx context.Context, rng *rand.Rand) {
 	case "load":
 		i := rng.Intn(len(w.containers))
 		data := w.containers[i]
-		res, err := w.cl.LoadWithCtx(octx, data, server.LoadRequest{})
+		res, err := w.cl.Load(octx, data, server.LoadRequest{})
 		if aborted(ctx, err) {
 			return
 		}
@@ -208,7 +208,7 @@ func (w *Workload) doOne(ctx context.Context, rng *rand.Rand) {
 			w.mu.Unlock()
 		}
 	case "get":
-		data, err := w.cl.GetVBSCtx(octx, digest)
+		data, err := w.cl.GetVBS(octx, digest)
 		if aborted(ctx, err) {
 			return
 		}
@@ -219,7 +219,7 @@ func (w *Workload) doOne(ctx context.Context, rng *rand.Rand) {
 		}
 		w.record(err)
 	case "unload":
-		err := w.cl.UnloadCtx(octx, id)
+		err := w.cl.Unload(octx, id)
 		switch {
 		case aborted(ctx, err):
 			// The task may survive the aborted call: put it back so a

@@ -1,100 +1,58 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+
+	"repro/internal/server"
 )
 
 // Admin is a thin client for the gateway's cluster-admin endpoints
 // (membership and rebalance control) — the surface behind the vbsgw
-// `node` and `rebalance` verbs.
+// `node` and `rebalance` verbs. It rides server.Client's request path,
+// so its errors answer server.StatusCode and server.ErrorMessage.
 type Admin struct {
-	base string
-	hc   *http.Client
+	c *server.Client
 }
 
 // NewAdmin targets a gateway at base (e.g. "http://localhost:8930").
 // httpClient may be nil for http.DefaultClient.
 func NewAdmin(base string, httpClient *http.Client) *Admin {
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
-	return &Admin{base: base, hc: httpClient}
-}
-
-func (a *Admin) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, a.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		var er struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error != "" {
-			msg = er.Error
-		}
-		return fmt.Errorf("gateway: %d: %s", resp.StatusCode, msg)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
+	return &Admin{c: server.NewClient(base, httpClient)}
 }
 
 // Nodes lists the membership table.
 func (a *Admin) Nodes(ctx context.Context) (MembershipResponse, error) {
 	var out MembershipResponse
-	err := a.do(ctx, http.MethodGet, "/cluster/nodes", nil, &out)
+	err := a.c.Do(ctx, http.MethodGet, "/cluster/nodes", nil, &out)
 	return out, err
 }
 
 // AddNode joins a node (base URL) to the cluster.
 func (a *Admin) AddNode(ctx context.Context, node string) (MembershipResponse, error) {
 	var out MembershipResponse
-	err := a.do(ctx, http.MethodPost, "/cluster/nodes", AddNodeRequest{Node: node}, &out)
+	err := a.c.Do(ctx, http.MethodPost, "/cluster/nodes", AddNodeRequest{Node: node}, &out)
 	return out, err
 }
 
 // DrainNode starts a graceful decommission of a member.
 func (a *Admin) DrainNode(ctx context.Context, node string) (MembershipResponse, error) {
 	var out MembershipResponse
-	err := a.do(ctx, http.MethodPost, "/cluster/nodes/"+url.PathEscape(node)+"/drain", nil, &out)
+	err := a.c.Do(ctx, http.MethodPost, "/cluster/nodes/"+url.PathEscape(node)+"/drain", nil, &out)
 	return out, err
 }
 
 // RemoveNode forgets a member.
 func (a *Admin) RemoveNode(ctx context.Context, node string) (MembershipResponse, error) {
 	var out MembershipResponse
-	err := a.do(ctx, http.MethodDelete, "/cluster/nodes/"+url.PathEscape(node), nil, &out)
+	err := a.c.Do(ctx, http.MethodDelete, "/cluster/nodes/"+url.PathEscape(node), nil, &out)
 	return out, err
 }
 
 // Rebalance kicks a rebalance pass and returns the current progress.
 func (a *Admin) Rebalance(ctx context.Context) (RebalanceStats, error) {
 	var out RebalanceStats
-	err := a.do(ctx, http.MethodPost, "/cluster/rebalance", nil, &out)
+	err := a.c.Do(ctx, http.MethodPost, "/cluster/rebalance", nil, &out)
 	return out, err
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/repo"
 	"repro/internal/server"
+	"repro/internal/transport"
 )
 
 // TestGatewayBatch drives POST /tasks:batch through the gateway: the
@@ -30,7 +32,7 @@ func TestGatewayBatch(t *testing.T) {
 		datas = append(datas, data)
 		ops = append(ops, server.BatchLoadOp(data))
 	}
-	resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: ops})
+	resp, err := c.Batch(t.Context(), server.BatchRequest{Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestGatewayBatch(t *testing.T) {
 	// Mixed follow-up batch: a get, a real unload, a bogus unload.
 	id := resp.Results[0].Load.ID
 	digest := resp.Results[0].Load.Digest
-	resp, err = c.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{
+	resp, err = c.Batch(t.Context(), server.BatchRequest{Ops: []server.BatchOp{
 		{Op: "get", Digest: digest},
 		{Op: "unload", ID: id},
 		{Op: "unload", ID: 424242},
@@ -78,7 +80,7 @@ func TestGatewayBatch(t *testing.T) {
 	}
 
 	// The unloaded task's gateway mapping is gone.
-	tasks, err := c.TasksCtx(t.Context())
+	tasks, err := c.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestGatewayBatch(t *testing.T) {
 	}
 
 	// An empty batch is refused as a whole.
-	if _, err := c.BatchCtx(t.Context(), server.BatchRequest{}); server.StatusCode(err) != http.StatusBadRequest {
+	if _, err := c.Batch(t.Context(), server.BatchRequest{}); server.StatusCode(err) != http.StatusBadRequest {
 		t.Fatalf("empty batch: got %v, want 400", err)
 	}
 }
@@ -103,7 +105,7 @@ func TestGatewayStreamsEngage(t *testing.T) {
 
 	for i := 0; i < 6; i++ {
 		data := makeVBS(t, int64(500+i), 6)
-		resp, err := c.LoadCtx(context.Background(), data, nil, nil, nil)
+		resp, err := c.Load(context.Background(), data, server.LoadRequest{})
 		if err != nil {
 			t.Fatalf("load %d: %v", i, err)
 		}
@@ -137,7 +139,7 @@ func TestGatewayBatchFramesRaw(t *testing.T) {
 	)
 	batch := func(ops []server.BatchOp, want []int) server.BatchResponse {
 		t.Helper()
-		resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: ops})
+		resp, err := c.Batch(t.Context(), server.BatchRequest{Ops: ops})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,12 +220,19 @@ func TestGatewayBatchFramesRaw(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchStreamsDisabled pins the HTTP fallback: with
-// DisableStreams the whole batched path still works end to end.
-func TestGatewayBatchStreamsDisabled(t *testing.T) {
-	c, _, nodes := newCluster(t, 2, 1, cluster.Options{Replicas: 2, DisableStreams: true})
+// TestGatewayNodesWithoutStreams pins the per-call HTTP fallback on
+// the reason it exists: nodes that cannot speak streams (an older vbsd
+// answers GET /stream with 404). A batch load, its replication and a
+// read-repair copy all land over HTTP, and no stream ever opens.
+func TestGatewayNodesWithoutStreams(t *testing.T) {
+	nodes := make([]*testNode, 3)
+	for i := range nodes {
+		nodes[i] = newNode(t, 1, server.Options{}, withoutStreams)
+	}
+	c, gw := startGateway(t, nodes, cluster.Options{Replicas: 2})
+
 	data := makeVBS(t, 900, 6)
-	resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{server.BatchLoadOp(data)}})
+	resp, err := c.Batch(t.Context(), server.BatchRequest{Ops: []server.BatchOp{server.BatchLoadOp(data)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +240,41 @@ func TestGatewayBatchStreamsDisabled(t *testing.T) {
 		t.Fatalf("load: %+v", resp.Results[0])
 	}
 	waitReplicas(t, nodes, resp.Results[0].Load.Digest, 2)
-	if open := metricValue(t, c.Base(), "vbs_transport_streams_open"); open != 0 {
-		t.Fatalf("streams open with DisableStreams: %v", open)
+
+	// A blob only a non-owner holds is served by scatter and healed
+	// onto both owners through putBlobNode's HTTP path.
+	orphan := makeVBS(t, 901, 6)
+	d := repo.DigestOf(orphan)
+	owners := gw.Ring().Lookup(d, 2)
+	var outsider *testNode
+	for _, n := range nodes {
+		if !slices.Contains(owners, n.url) {
+			outsider = n
+		}
 	}
+	if _, err := outsider.client.PutVBS(t.Context(), orphan, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetVBS(t.Context(), d.String()); err != nil {
+		t.Fatalf("get via scatter fallback: %v", err)
+	}
+	waitReplicas(t, nodes, d.String(), 3)
+
+	if open := metricValue(t, c.Base(), "vbs_transport_streams_open"); open != 0 {
+		t.Fatalf("gateway opened %v stream(s) to nodes without GET /stream", open)
+	}
+}
+
+// withoutStreams answers GET /stream with 404, as a vbsd that predates
+// the frame streams does.
+func withoutStreams(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == transport.DefaultPath {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // waitReplicas polls until the digest is held by at least want nodes.

@@ -16,7 +16,7 @@ import (
 func TestGatewayAllReplicasDown503(t *testing.T) {
 	cl, _, nodes := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
 	data := makeVBS(t, 71, 10)
-	put, err := cl.PutVBS(context.Background(), data)
+	put, err := cl.PutVBS(context.Background(), data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestGatewayAllReplicasDown503(t *testing.T) {
 		n.kill()
 	}
 
-	_, err = cl.GetVBSCtx(t.Context(), put.Digest)
+	_, err = cl.GetVBS(t.Context(), put.Digest)
 	if code := server.StatusCode(err); code != 503 {
 		t.Fatalf("GetVBS with all nodes down: %v (code %d), want 503", err, code)
 	}
@@ -32,7 +32,7 @@ func TestGatewayAllReplicasDown503(t *testing.T) {
 		t.Fatalf("GetVBS 503 message not diagnostic: %q", msg)
 	}
 
-	_, err = cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	_, err = cl.Load(t.Context(), data, server.LoadRequest{})
 	if code := server.StatusCode(err); code != 503 {
 		t.Fatalf("Load with all nodes down: %v (code %d), want 503", err, code)
 	}
@@ -52,7 +52,7 @@ func TestGatewayReadRepairConvergence(t *testing.T) {
 
 	for victim := 0; victim < replicas; victim++ {
 		data := makeVBS(t, int64(100+victim), 10)
-		put, err := cl.PutVBS(context.Background(), data)
+		put, err := cl.PutVBS(context.Background(), data, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestGatewayReadRepairConvergence(t *testing.T) {
 
 		// Delete the blob from one replica directly (the node's own
 		// API, behind the gateway's back) — replica loss in miniature.
-		if err := byURL[holders[victim]].client.DeleteVBSCtx(t.Context(), put.Digest); err != nil {
+		if err := byURL[holders[victim]].client.DeleteVBS(t.Context(), put.Digest); err != nil {
 			t.Fatalf("victim %d: node-local delete: %v", victim, err)
 		}
 		if h := nodesHolding(t, nodes, put.Digest); len(h) != replicas-1 {
@@ -75,7 +75,7 @@ func TestGatewayReadRepairConvergence(t *testing.T) {
 		// poll with a deadline.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			got, err := cl.GetVBSCtx(t.Context(), put.Digest)
+			got, err := cl.GetVBS(t.Context(), put.Digest)
 			if err != nil {
 				t.Fatalf("victim %d: GetVBS during repair: %v", victim, err)
 			}
@@ -113,16 +113,16 @@ func TestGatewayReadRepairConvergence(t *testing.T) {
 func TestGatewayRepairDoesNotResurrectDeleted(t *testing.T) {
 	cl, gw, nodes := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
 	data := makeVBS(t, 131, 10)
-	put, err := cl.PutVBS(context.Background(), data)
+	put, err := cl.PutVBS(context.Background(), data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reads before the delete may schedule sweeps; let them drain via
 	// Stop at cleanup. Delete through the gateway: every node drops it.
-	if _, err := cl.GetVBSCtx(t.Context(), put.Digest); err != nil {
+	if _, err := cl.GetVBS(t.Context(), put.Digest); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DeleteVBSCtx(t.Context(), put.Digest); err != nil {
+	if err := cl.DeleteVBS(t.Context(), put.Digest); err != nil {
 		t.Fatalf("gateway delete: %v", err)
 	}
 	gw.Stop() // drain any in-flight sweep before checking

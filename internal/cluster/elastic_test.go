@@ -2,7 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
-	"net/http/httptest"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -18,29 +18,35 @@ import (
 func newElasticCluster(t *testing.T, n int, opts cluster.Options) (*server.Client, *cluster.Admin, *cluster.Gateway, []*testNode) {
 	t.Helper()
 	nodes := make([]*testNode, n)
-	urls := make([]string, n)
 	for i := range nodes {
 		nodes[i] = newNode(t, 1, server.Options{DataDir: t.TempDir()})
-		urls[i] = nodes[i].url
 	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = 100 * time.Millisecond
 	}
-	if opts.ProbeTimeout == 0 {
-		opts.ProbeTimeout = time.Second
-	}
 	if opts.RebalanceInterval == 0 {
 		opts.RebalanceInterval = 50 * time.Millisecond
 	}
-	gw, err := cluster.New(urls, opts)
-	if err != nil {
-		t.Fatal(err)
+	cl, gw := startGateway(t, nodes, opts)
+	return cl, cluster.NewAdmin(cl.Base(), nil), gw, nodes
+}
+
+// TestAdminErrorsCarryStatus: admin replies share server.Client's
+// error surface, so callers branch on the status, not on error text.
+func TestAdminErrorsCarryStatus(t *testing.T) {
+	_, admin, _, _ := newElasticCluster(t, 2, cluster.Options{Replicas: 2})
+	ctx := t.Context()
+
+	if _, err := admin.RemoveNode(ctx, "http://127.0.0.1:1"); server.StatusCode(err) != http.StatusNotFound {
+		t.Errorf("RemoveNode of a non-member = %v (status %d), want 404", err, server.StatusCode(err))
 	}
-	gw.Start(t.Context())
-	t.Cleanup(gw.Stop)
-	hs := httptest.NewServer(gw.Handler())
-	t.Cleanup(hs.Close)
-	return server.NewClient(hs.URL, nil), cluster.NewAdmin(hs.URL, nil), gw, nodes
+	joined := newNode(t, 1, server.Options{DataDir: t.TempDir()})
+	if _, err := admin.AddNode(ctx, joined.url); err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	if _, err := admin.AddNode(ctx, joined.url); server.StatusCode(err) != http.StatusConflict {
+		t.Errorf("second AddNode = %v (status %d), want 409", err, server.StatusCode(err))
+	}
 }
 
 // waitConverged polls until every digest's holder set equals its ring
@@ -100,7 +106,7 @@ func TestClusterJoinNodeRebalances(t *testing.T) {
 	blobs := map[string][]byte{}
 	for seed := int64(1); seed <= 8; seed++ {
 		data := makeVBS(t, seed, 5)
-		res, err := cl.PutVBS(ctx, data)
+		res, err := cl.PutVBS(ctx, data, false)
 		if err != nil {
 			t.Fatalf("put seed %d: %v", seed, err)
 		}
@@ -124,7 +130,7 @@ func TestClusterJoinNodeRebalances(t *testing.T) {
 
 	// Reads must keep working while the rebalancer is mid-copy.
 	for hex, want := range blobs {
-		got, err := cl.GetVBSCtx(ctx, hex)
+		got, err := cl.GetVBS(ctx, hex)
 		if err != nil {
 			t.Fatalf("get %s during rebalance: %v", hex[:12], err)
 		}
@@ -172,7 +178,7 @@ func TestClusterDrainAndRemoveNode(t *testing.T) {
 	blobs := map[string][]byte{}
 	for seed := int64(20); seed < 26; seed++ {
 		data := makeVBS(t, seed, 5)
-		res, err := cl.PutVBS(ctx, data)
+		res, err := cl.PutVBS(ctx, data, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +210,7 @@ func TestClusterDrainAndRemoveNode(t *testing.T) {
 	// of nothing (R=2) — and even its copies are reachable via the
 	// scatter fallback until trimmed.
 	for hex, want := range blobs {
-		got, err := cl.GetVBSCtx(ctx, hex)
+		got, err := cl.GetVBS(ctx, hex)
 		if err != nil {
 			t.Fatalf("get %s during drain: %v", hex[:12], err)
 		}
@@ -216,7 +222,7 @@ func TestClusterDrainAndRemoveNode(t *testing.T) {
 	// The rebalancer must empty the draining node completely.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		left, err := victim.client.ListVBSCtx(ctx)
+		left, err := victim.client.ListVBS(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +247,7 @@ func TestClusterDrainAndRemoveNode(t *testing.T) {
 		t.Fatalf("membership after remove = %+v", ms)
 	}
 	for hex, want := range blobs {
-		got, err := cl.GetVBSCtx(ctx, hex)
+		got, err := cl.GetVBS(ctx, hex)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("get %s after remove: %v", hex[:12], err)
 		}
@@ -259,14 +265,14 @@ func TestClusterDeleteTombstone(t *testing.T) {
 	ctx := t.Context()
 
 	data := makeVBS(t, 31, 5)
-	res, err := cl.PutVBS(ctx, data)
+	res, err := cl.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DeleteVBSCtx(ctx, res.Digest); err != nil {
+	if err := cl.DeleteVBS(ctx, res.Digest); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := cl.GetVBSCtx(ctx, res.Digest); err == nil || !strings.Contains(err.Error(), "410") {
+	if _, err := cl.GetVBS(ctx, res.Digest); err == nil || !strings.Contains(err.Error(), "410") {
 		t.Fatalf("get after delete = %v, want 410", err)
 	}
 	for _, n := range nodes {
@@ -278,10 +284,10 @@ func TestClusterDeleteTombstone(t *testing.T) {
 
 	// An explicit write through the gateway is user intent: it lifts
 	// the tombstone everywhere it lands.
-	if _, err := cl.PutVBS(ctx, data); err != nil {
+	if _, err := cl.PutVBS(ctx, data, false); err != nil {
 		t.Fatalf("re-put after delete: %v", err)
 	}
-	got, err := cl.GetVBSCtx(ctx, res.Digest)
+	got, err := cl.GetVBS(ctx, res.Digest)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get after re-put: %v", err)
 	}
@@ -296,7 +302,7 @@ func TestRebalancerHonorsTombstones(t *testing.T) {
 	ctx := t.Context()
 
 	data := makeVBS(t, 41, 5)
-	res, err := cl.PutVBS(ctx, data)
+	res, err := cl.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +322,7 @@ func TestRebalancerHonorsTombstones(t *testing.T) {
 		if isHolder[n.url] {
 			continue
 		}
-		if err := n.client.DeleteVBSCtx(ctx, res.Digest); server.StatusCode(err) != 404 {
+		if err := n.client.DeleteVBS(ctx, res.Digest); server.StatusCode(err) != 404 {
 			t.Fatalf("absent delete on %s = %v, want 404", n.url, err)
 		}
 	}
@@ -334,7 +340,7 @@ func TestRebalancerHonorsTombstones(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if _, err := cl.GetVBSCtx(ctx, res.Digest); err == nil {
+	if _, err := cl.GetVBS(ctx, res.Digest); err == nil {
 		t.Fatal("tombstoned blob resurfaced through the gateway")
 	}
 	var st cluster.StatsResponse
@@ -359,13 +365,13 @@ func TestClusterRetriesCounter(t *testing.T) {
 	ctx := t.Context()
 
 	data := makeVBS(t, 51, 5)
-	res, err := cl.PutVBS(ctx, data)
+	res, err := cl.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes[0].kill()
 
-	got, err := cl.GetVBSCtx(ctx, res.Digest)
+	got, err := cl.GetVBS(ctx, res.Digest)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get after kill: %v", err)
 	}

@@ -56,10 +56,6 @@ type Options struct {
 	// 0 selects 60s, negative disables the rebalancer (membership
 	// changes still kick a pass when enabled).
 	RebalanceInterval time.Duration
-	// DisableStreams turns the persistent per-node frame streams off:
-	// replication, repair/rebalance copies and batch fan-out all fall
-	// back to per-request HTTP.
-	DisableStreams bool
 }
 
 // gwTask maps a gateway task id to the node-local task it proxies.
@@ -175,7 +171,7 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 	g.jobs = jobs.NewTable()
 	g.defineJobs()
 	g.metrics = newGatewayMetrics(g)
-	g.streams = newStreamPool(!opts.DisableStreams, g.transport)
+	g.streams = newStreamPool(g.transport)
 	return g, nil
 }
 
@@ -407,7 +403,7 @@ func (g *Gateway) topology(ctx context.Context) ([]nodeFabrics, error) {
 	g.mu.Unlock()
 	if len(missing) > 0 {
 		res := scatter(ctx, g, missing, func(ctx context.Context, c *server.Client) ([]server.FabricInfo, error) {
-			return c.FabricsCtx(ctx)
+			return c.Fabrics(ctx)
 		})
 		g.mu.Lock()
 		for _, r := range res {
@@ -497,7 +493,7 @@ func (g *Gateway) replicate(ctx context.Context, digest repo.Digest, data []byte
 		return
 	}
 	res := scatter(ctx, g, httpTargets, func(ctx context.Context, c *server.Client) (server.PutVBSResponse, error) {
-		return c.PutVBSForce(ctx, data)
+		return c.PutVBS(ctx, data, true)
 	})
 	for _, r := range res {
 		if r.err != nil {
@@ -552,7 +548,7 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		ctx, cancel := g.hopCtx(r)
-		resp, err := c.LoadWithCtx(ctx, data, req)
+		resp, err := c.Load(ctx, data, req)
 		cancel()
 		g.observe(n, err)
 		g.proxied.Add(1)
@@ -650,7 +646,7 @@ func (g *Gateway) handleUnload(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := g.hopCtx(r)
 	defer cancel()
-	err := c.UnloadCtx(ctx, t.remote)
+	err := c.Unload(ctx, t.remote)
 	g.observe(t.node, err)
 	g.proxied.Add(1)
 	if err != nil && server.StatusCode(err) != http.StatusNotFound {
@@ -692,7 +688,7 @@ func (g *Gateway) handleRelocate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := g.hopCtx(r)
 	defer cancel()
-	info, err := c.RelocateCtx(ctx, t.remote, *req.X, *req.Y)
+	info, err := c.Relocate(ctx, t.remote, *req.X, *req.Y)
 	g.observe(t.node, err)
 	g.proxied.Add(1)
 	if err != nil {
@@ -733,7 +729,7 @@ func (g *Gateway) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	g.scatters.Add(1)
 	res := scatter(r.Context(), g, names, func(ctx context.Context, c *server.Client) ([]server.TaskInfo, error) {
-		return c.TasksCtx(ctx)
+		return c.Tasks(ctx)
 	})
 	remote := make(map[string]map[int64]server.TaskInfo, len(res))
 	for _, nr := range res {
@@ -787,7 +783,7 @@ func (g *Gateway) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := g.hopCtx(r)
 	defer cancel()
-	res, err := c.CompactCtx(ctx, local)
+	res, err := c.Compact(ctx, local)
 	g.observe(node, err)
 	g.proxied.Add(1)
 	if err != nil {
@@ -806,7 +802,7 @@ func (g *Gateway) handleFabrics(w http.ResponseWriter, r *http.Request) {
 	}
 	g.scatters.Add(1)
 	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.FabricInfo, error) {
-		return c.FabricsCtx(ctx)
+		return c.Fabrics(ctx)
 	})
 	byNode := map[string][]server.FabricInfo{}
 	for _, nr := range res {
@@ -843,7 +839,7 @@ func (g *Gateway) handlePutVBS(w http.ResponseWriter, r *http.Request) {
 	// Force: an explicit client write overrides any delete tombstone,
 	// exactly like the single-daemon PUT-after-force semantics.
 	res := scatter(r.Context(), g, owners, func(ctx context.Context, c *server.Client) (server.PutVBSResponse, error) {
-		return c.PutVBSForce(ctx, data)
+		return c.PutVBS(ctx, data, true)
 	})
 	var firstOK *server.PutVBSResponse
 	var lastErr error
@@ -868,7 +864,7 @@ func (g *Gateway) handlePutVBS(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleListVBS(w http.ResponseWriter, r *http.Request) {
 	g.scatters.Add(1)
 	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.VBSInfo, error) {
-		return c.ListVBSCtx(ctx)
+		return c.ListVBS(ctx)
 	})
 	merged := map[string]*server.VBSInfo{}
 	for _, nr := range res {
@@ -908,7 +904,7 @@ func (g *Gateway) fetchVerified(ctx context.Context, node string, d repo.Digest)
 	var data []byte
 	err := g.retryTransport(ctx, node, func(ctx context.Context) error {
 		var ferr error
-		data, ferr = c.GetVBSCtx(ctx, d.String())
+		data, ferr = c.GetVBS(ctx, d.String())
 		return ferr
 	})
 	if err != nil {
@@ -976,7 +972,7 @@ func (g *Gateway) handleGetVBS(w http.ResponseWriter, r *http.Request) {
 	if len(others) > 0 {
 		g.scatterFallbacks.Add(1)
 		res := scatter(r.Context(), g, others, func(ctx context.Context, c *server.Client) ([]byte, error) {
-			data, err := c.GetVBSCtx(ctx, d.String())
+			data, err := c.GetVBS(ctx, d.String())
 			if err == nil && repo.DigestOf(data) != d {
 				return nil, fmt.Errorf("cluster: corrupt bytes for %s", d.Short())
 			}
@@ -1042,7 +1038,7 @@ func (g *Gateway) headVBS(ctx context.Context, node string, d repo.Digest) (bool
 func (g *Gateway) propagateDelete(ctx context.Context, d repo.Digest) {
 	g.tombstoneSweeps.Add(1)
 	scatter(ctx, g, g.aliveNodes(), func(ctx context.Context, c *server.Client) (struct{}, error) {
-		return struct{}{}, c.DeleteVBSCtx(ctx, d.String())
+		return struct{}{}, c.DeleteVBS(ctx, d.String())
 	})
 }
 
@@ -1146,7 +1142,7 @@ func (g *Gateway) handleDeleteVBS(w http.ResponseWriter, r *http.Request) {
 	if refs == 0 {
 		// Tasks loaded out of band reference blobs too: ask the fleet.
 		res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.VBSInfo, error) {
-			return c.ListVBSCtx(ctx)
+			return c.ListVBS(ctx)
 		})
 		for _, nr := range res {
 			if nr.err != nil {
@@ -1164,7 +1160,7 @@ func (g *Gateway) handleDeleteVBS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) (struct{}, error) {
-		return struct{}{}, c.DeleteVBSCtx(ctx, d.String())
+		return struct{}{}, c.DeleteVBS(ctx, d.String())
 	})
 	deleted := 0
 	var lastErr error
@@ -1261,7 +1257,7 @@ type StatsResponse struct {
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	g.scatters.Add(1)
 	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) (server.StatsResponse, error) {
-		return c.StatsCtx(ctx)
+		return c.Stats(ctx)
 	})
 	byNode := map[string]*server.StatsResponse{}
 	for i := range res {

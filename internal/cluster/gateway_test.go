@@ -27,7 +27,7 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 	containers := map[string][]byte{}
 	for seed := int64(1); seed <= 4; seed++ {
 		data := makeVBS(t, seed, 6)
-		res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+		res, err := cl.Load(t.Context(), data, server.LoadRequest{})
 		if err != nil {
 			t.Fatalf("load seed %d: %v", seed, err)
 		}
@@ -46,7 +46,7 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 
 	// Byte-identical serving before any failure.
 	for digest, want := range containers {
-		got, err := cl.GetVBSCtx(t.Context(), digest)
+		got, err := cl.GetVBS(t.Context(), digest)
 		if err != nil {
 			t.Fatalf("get %s: %v", digest[:12], err)
 		}
@@ -58,7 +58,7 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 	// Kill one node; every digest must still serve byte-identical.
 	nodes[1].kill()
 	for digest, want := range containers {
-		got, err := cl.GetVBSCtx(t.Context(), digest)
+		got, err := cl.GetVBS(t.Context(), digest)
 		if err != nil {
 			t.Fatalf("get %s after kill: %v", digest[:12], err)
 		}
@@ -86,7 +86,7 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 	// A digest that was primaried on the killed node requires at
 	// least one failover by now; loads on live nodes must keep
 	// working too.
-	if _, err := cl.LoadCtx(t.Context(), makeVBS(t, 9, 6), nil, nil, nil); err != nil {
+	if _, err := cl.Load(t.Context(), makeVBS(t, 9, 6), server.LoadRequest{}); err != nil {
 		t.Fatalf("load after kill: %v", err)
 	}
 	_ = gw
@@ -113,12 +113,12 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 	cl, _, nodes := newCluster(t, 3, 2, cluster.Options{Replicas: 2})
 
 	data := makeVBS(t, 11, 6)
-	res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 		t.Errorf("listing fabric %d, load reported %d", tasks[0].Fabric, res.Fabric)
 	}
 
-	moved, err := cl.RelocateCtx(t.Context(), res.ID, 8, 8)
+	moved, err := cl.Relocate(t.Context(), res.ID, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 
 	// The merged fabric listing covers the whole fleet with distinct
 	// global indices and node attribution.
-	fabrics, err := cl.FabricsCtx(t.Context())
+	fabrics, err := cl.Fabrics(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,18 +161,18 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 	}
 
 	// Compaction routes by global index.
-	if _, err := cl.CompactCtx(t.Context(), fabrics[len(fabrics)-1].Index); err != nil {
+	if _, err := cl.Compact(t.Context(), fabrics[len(fabrics)-1].Index); err != nil {
 		t.Fatalf("compact global fabric: %v", err)
 	}
 
-	if err := cl.UnloadCtx(t.Context(), res.ID); err != nil {
+	if err := cl.Unload(t.Context(), res.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.UnloadCtx(t.Context(), res.ID); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := cl.Unload(t.Context(), res.ID); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("double unload error = %v", err)
 	}
 	for _, n := range nodes {
-		remote, err := n.client.TasksCtx(t.Context())
+		remote, err := n.client.Tasks(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,14 +189,14 @@ func TestGatewayPinnedFabric(t *testing.T) {
 
 	// Global index 2 is node 2's only fabric (registry order).
 	pin := 2
-	res, err := cl.LoadCtx(t.Context(), makeVBS(t, 21, 6), &pin, nil, nil)
+	res, err := cl.Load(t.Context(), makeVBS(t, 21, 6), server.LoadRequest{Fabric: &pin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Fabric != pin {
 		t.Errorf("pinned load reported fabric %d, want %d", res.Fabric, pin)
 	}
-	remote, err := nodes[2].client.TasksCtx(t.Context())
+	remote, err := nodes[2].client.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGatewayPinnedFabric(t *testing.T) {
 		t.Fatalf("pinned node holds %d task(s), want 1", len(remote))
 	}
 
-	if _, err := cl.LoadCtx(t.Context(), makeVBS(t, 21, 6), &[]int{99}[0], nil, nil); err == nil ||
+	if _, err := cl.Load(t.Context(), makeVBS(t, 21, 6), server.LoadRequest{Fabric: &[]int{99}[0]}); err == nil ||
 		!strings.Contains(err.Error(), "400") {
 		t.Errorf("out-of-range global fabric error = %v", err)
 	}
@@ -231,11 +231,11 @@ func TestGatewayReadRepair(t *testing.T) {
 	if outsider == nil {
 		t.Fatal("no node outside a 2-of-3 replica set?")
 	}
-	if _, err := outsider.client.PutVBS(context.Background(), data); err != nil {
+	if _, err := outsider.client.PutVBS(context.Background(), data, false); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := cl.GetVBSCtx(t.Context(), d.String())
+	got, err := cl.GetVBS(t.Context(), d.String())
 	if err != nil {
 		t.Fatalf("get via scatter fallback: %v", err)
 	}
@@ -288,16 +288,16 @@ func TestGatewayListVBSMergesReplicas(t *testing.T) {
 	cl, _, _ := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
 
 	data := makeVBS(t, 41, 6)
-	res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Loading the identical container again deduplicates fleet-wide.
-	if _, err := cl.LoadCtx(t.Context(), data, nil, nil, nil); err != nil {
+	if _, err := cl.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatal(err)
 	}
 
-	blobs, err := cl.ListVBSCtx(t.Context())
+	blobs, err := cl.ListVBS(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,29 +314,29 @@ func TestGatewayListVBSMergesReplicas(t *testing.T) {
 	// degrading the blob to a single copy (caught driving vbsgw by
 	// hand: the next node kill then 502'd a digest that "failed" to
 	// delete).
-	if err := cl.DeleteVBSCtx(t.Context(), res.Digest); err == nil || !strings.Contains(err.Error(), "409") {
+	if err := cl.DeleteVBS(t.Context(), res.Digest); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("delete while referenced = %v, want 409", err)
 	}
-	blobs, err = cl.ListVBSCtx(t.Context())
+	blobs, err = cl.ListVBS(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blobs) != 1 || blobs[0].Replicas != 2 {
 		t.Fatalf("vetoed delete changed the listing: %+v", blobs)
 	}
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		if err := cl.UnloadCtx(t.Context(), task.ID); err != nil {
+		if err := cl.Unload(t.Context(), task.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.DeleteVBSCtx(t.Context(), res.Digest); err != nil {
+	if err := cl.DeleteVBS(t.Context(), res.Digest); err != nil {
 		t.Fatalf("delete after unload: %v", err)
 	}
-	if _, err := cl.GetVBSCtx(t.Context(), res.Digest); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := cl.GetVBS(t.Context(), res.Digest); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("get after delete = %v, want 404", err)
 	}
 }
@@ -357,16 +357,16 @@ func TestGatewayConcurrentLoads(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := cl.LoadCtx(t.Context(), containers[i], nil, nil, nil)
+			res, err := cl.Load(t.Context(), containers[i], server.LoadRequest{})
 			if err != nil {
 				errs <- err
 				return
 			}
-			if _, err := cl.GetVBSCtx(t.Context(), res.Digest); err != nil {
+			if _, err := cl.GetVBS(t.Context(), res.Digest); err != nil {
 				errs <- err
 				return
 			}
-			if err := cl.UnloadCtx(t.Context(), res.ID); err != nil {
+			if err := cl.Unload(t.Context(), res.ID); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -376,7 +376,7 @@ func TestGatewayConcurrentLoads(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -77,8 +78,9 @@ type testNode struct {
 	client *server.Client
 }
 
-// newNode starts an httptest vbsd over fresh 16x16 W=8 fabrics.
-func newNode(t *testing.T, fabrics int, opts server.Options) *testNode {
+// newNode starts an httptest vbsd over fresh 16x16 W=8 fabrics; each
+// wrap, when given, sits in front of the daemon's handler.
+func newNode(t *testing.T, fabrics int, opts server.Options, wrap ...func(http.Handler) http.Handler) *testNode {
 	t.Helper()
 	ctrls := make([]*controller.Controller, fabrics)
 	for i := range ctrls {
@@ -92,7 +94,11 @@ func newNode(t *testing.T, fabrics int, opts server.Options) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	var h http.Handler = srv.Handler()
+	for _, w := range wrap {
+		h = w(h)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
 	return &testNode{url: hs.URL, srv: srv, hs: hs, client: server.NewClient(hs.URL, nil)}
 }
@@ -103,10 +109,20 @@ func newNode(t *testing.T, fabrics int, opts server.Options) *testNode {
 func newCluster(t *testing.T, n, fabricsPerNode int, opts cluster.Options) (*server.Client, *cluster.Gateway, []*testNode) {
 	t.Helper()
 	nodes := make([]*testNode, n)
-	urls := make([]string, n)
 	for i := range nodes {
 		nodes[i] = newNode(t, fabricsPerNode, server.Options{})
-		urls[i] = nodes[i].url
+	}
+	cl, gw := startGateway(t, nodes, opts)
+	return cl, gw, nodes
+}
+
+// startGateway fronts the nodes with a started gateway and returns a
+// client speaking to it.
+func startGateway(t *testing.T, nodes []*testNode, opts cluster.Options) (*server.Client, *cluster.Gateway) {
+	t.Helper()
+	urls := make([]string, len(nodes))
+	for i, n := range nodes {
+		urls[i] = n.url
 	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = 200 * time.Millisecond
@@ -122,7 +138,7 @@ func newCluster(t *testing.T, n, fabricsPerNode int, opts cluster.Options) (*ser
 	t.Cleanup(gw.Stop)
 	hs := httptest.NewServer(gw.Handler())
 	t.Cleanup(hs.Close)
-	return server.NewClient(hs.URL, nil), gw, nodes
+	return server.NewClient(hs.URL, nil), gw
 }
 
 // nodesHolding lists which of the nodes hold the digest.
@@ -133,7 +149,7 @@ func nodesHolding(t *testing.T, nodes []*testNode, digest string) []string {
 		if n.hs == nil {
 			continue
 		}
-		blobs, err := n.client.ListVBSCtx(t.Context())
+		blobs, err := n.client.ListVBS(t.Context())
 		if err != nil {
 			continue
 		}

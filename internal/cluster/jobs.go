@@ -66,7 +66,7 @@ func (g *Gateway) runFleet(ctx context.Context, j *jobs.Job, kind string) error 
 	res := scatter(ctx, g, nodes, func(ctx context.Context, c *server.Client) (server.JobInfo, error) {
 		hctx, cancel := context.WithTimeout(ctx, g.hop)
 		defer cancel()
-		return c.StartJobCtx(hctx, kind, args)
+		return c.StartJob(hctx, kind, args)
 	})
 	var remotes []*remoteJob
 	var failures []string
@@ -108,7 +108,7 @@ func (g *Gateway) runFleet(ctx context.Context, j *jobs.Job, kind string) error 
 			}
 			if c := g.reg.Client(r.node); c != nil {
 				hctx, cancel := context.WithTimeout(context.Background(), g.hop)
-				_, _ = c.AbortJobCtx(hctx, r.id)
+				_, _ = c.AbortJob(hctx, r.id)
 				cancel()
 			}
 		}
@@ -129,7 +129,7 @@ func (g *Gateway) runFleet(ctx context.Context, j *jobs.Job, kind string) error 
 				continue
 			}
 			hctx, cancel := context.WithTimeout(ctx, g.hop)
-			snap, err := c.JobCtx(hctx, r.id)
+			snap, err := c.Job(hctx, r.id)
 			cancel()
 			g.observe(r.node, err)
 			if err != nil {
@@ -189,7 +189,7 @@ func (g *Gateway) runReconcile(ctx context.Context, j *jobs.Job) error {
 	res := scatter(ctx, g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.TaskInfo, error) {
 		hctx, cancel := context.WithTimeout(ctx, g.hop)
 		defer cancel()
-		return c.TasksCtx(hctx)
+		return c.Tasks(hctx)
 	})
 	listed := make(map[string]map[int64]server.TaskInfo) // reachable nodes only
 	for _, nr := range res {
@@ -265,7 +265,7 @@ func (g *Gateway) runReconcile(ctx context.Context, j *jobs.Job) error {
 					continue
 				}
 				hctx, cancel := context.WithTimeout(ctx, g.hop)
-				err := c.UnloadCtx(hctx, rid)
+				err := c.Unload(hctx, rid)
 				cancel()
 				g.observe(node, err)
 				if err != nil && server.StatusCode(err) != http.StatusNotFound {
@@ -304,7 +304,7 @@ func (g *Gateway) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	g.scatters.Add(1)
 	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.JobInfo, error) {
-		return c.JobsCtx(ctx)
+		return c.Jobs(ctx)
 	})
 	for _, nr := range res {
 		if nr.err != nil {

@@ -16,7 +16,7 @@ func waitJob(t *testing.T, c *server.Client, id int64) server.JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		j, err := c.JobCtx(context.Background(), id)
+		j, err := c.Job(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,11 @@ func TestFleetJobScatterGather(t *testing.T) {
 	// A blob on both nodes (replicas=2) gives every node one container
 	// to warm.
 	data := makeVBS(t, 1, 6)
-	if _, err := cl.PutVBS(ctx, data); err != nil {
+	if _, err := cl.PutVBS(ctx, data, false); err != nil {
 		t.Fatal(err)
 	}
 
-	j, err := cl.StartJobCtx(ctx, "warm", nil)
+	j, err := cl.StartJob(ctx, "warm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFleetJobScatterGather(t *testing.T) {
 	}
 
 	// The merged listing shows the gateway job plus both node halves.
-	ls, err := cl.JobsCtx(ctx)
+	ls, err := cl.Jobs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func TestReconcileAdoptsOrphan(t *testing.T) {
 	ctx := context.Background()
 
 	data := makeVBS(t, 2, 6)
-	orphan, err := nodes[0].client.LoadCtx(ctx, data, nil, nil, nil)
+	orphan, err := nodes[0].client.Load(ctx, data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The gateway does not know the task yet.
-	before, err := cl.TasksCtx(ctx)
+	before, err := cl.Tasks(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReconcileAdoptsOrphan(t *testing.T) {
 		t.Fatalf("gateway lists %d task(s) before reconcile, want 0", len(before))
 	}
 
-	j, err := cl.StartJobCtx(ctx, "reconcile", nil)
+	j, err := cl.StartJob(ctx, "reconcile", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestReconcileAdoptsOrphan(t *testing.T) {
 		t.Fatalf("reconcile = %+v, want done with adopted=1", done)
 	}
 
-	after, err := cl.TasksCtx(ctx)
+	after, err := cl.Tasks(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestReconcileAdoptsOrphan(t *testing.T) {
 	}
 
 	// Idempotent: a second reconcile finds nothing to adopt.
-	j2, err := cl.StartJobCtx(ctx, "reconcile", nil)
+	j2, err := cl.StartJob(ctx, "reconcile", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReconcileAdoptsOrphan(t *testing.T) {
 	}
 
 	// The adopted task is a real gateway task: unload works through it.
-	if err := cl.UnloadCtx(ctx, after[0].ID); err != nil {
+	if err := cl.Unload(ctx, after[0].ID); err != nil {
 		t.Fatalf("unload adopted task: %v", err)
 	}
 }
@@ -142,11 +142,11 @@ func TestReconcileCancelMode(t *testing.T) {
 	ctx := context.Background()
 
 	data := makeVBS(t, 3, 6)
-	if _, err := nodes[1].client.LoadCtx(ctx, data, nil, nil, nil); err != nil {
+	if _, err := nodes[1].client.Load(ctx, data, server.LoadRequest{}); err != nil {
 		t.Fatal(err)
 	}
 
-	j, err := cl.StartJobCtx(ctx, "reconcile", map[string]string{"mode": "cancel"})
+	j, err := cl.StartJob(ctx, "reconcile", map[string]string{"mode": "cancel"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestReconcileCancelMode(t *testing.T) {
 	if done.Status != jobs.StatusDone || done.Progress["cancelled"] != 1 {
 		t.Fatalf("reconcile cancel = %+v, want done with cancelled=1", done)
 	}
-	remote, err := nodes[1].client.TasksCtx(ctx)
+	remote, err := nodes[1].client.Tasks(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestRebalancerStatsCumulative(t *testing.T) {
 	ctx := context.Background()
 
 	data := makeVBS(t, 4, 6)
-	if _, err := cl.PutVBS(ctx, data); err != nil {
+	if _, err := cl.PutVBS(ctx, data, false); err != nil {
 		t.Fatal(err)
 	}
 
 	runPass := func() {
 		t.Helper()
-		j, err := cl.StartJobCtx(ctx, "rebalance", nil)
+		j, err := cl.StartJob(ctx, "rebalance", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,15 +227,15 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	data := makeVBS(t, 5, 6)
-	res, err := cl.LoadCtx(ctx, data, nil, nil, nil)
+	res, err := cl.Load(ctx, data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetVBSCtx(ctx, res.Digest); err != nil {
+	if _, err := cl.GetVBS(ctx, res.Digest); err != nil {
 		t.Fatal(err)
 	}
 
-	samples, err := cl.MetricsCtx(ctx)
+	samples, err := cl.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func (rb *Rebalancer) pass(ctx context.Context, j *jobs.Job) error {
 		return errors.New("cluster: rebalance: no node reachable")
 	}
 	inv := scatter(ctx, g, alive, func(ctx context.Context, c *server.Client) (nodeInventory, error) {
-		blobs, err := c.ListVBSCtx(ctx)
+		blobs, err := c.ListVBS(ctx)
 		if err != nil {
 			return nodeInventory{}, err
 		}
@@ -449,7 +449,7 @@ func (rb *Rebalancer) propagate(ctx context.Context, d repo.Digest, holders []st
 			continue
 		}
 		err := g.retryTransport(ctx, h, func(ctx context.Context) error {
-			return c.DeleteVBSCtx(ctx, d.String())
+			return c.DeleteVBS(ctx, d.String())
 		})
 		if err != nil && server.StatusCode(err) == http.StatusConflict {
 			// A task re-referenced the digest: the delete loses there.

@@ -18,7 +18,6 @@ import (
 // backoff on their own, and close when the node leaves the cluster or
 // the gateway stops.
 type streamPool struct {
-	enabled bool
 	metrics *transport.Metrics
 
 	mu      sync.Mutex
@@ -26,15 +25,14 @@ type streamPool struct {
 	closed  bool
 }
 
-func newStreamPool(enabled bool, m *transport.Metrics) *streamPool {
-	return &streamPool{enabled: enabled, metrics: m, streams: make(map[string]*transport.Stream)}
+func newStreamPool(m *transport.Metrics) *streamPool {
+	return &streamPool{metrics: m, streams: make(map[string]*transport.Stream)}
 }
 
 // get returns the node's stream, opening it on first use (the dial
-// itself runs in the background). Nil when streams are disabled or
-// the pool is closed.
+// itself runs in the background). Nil once the pool is closed.
 func (p *streamPool) get(node string) *transport.Stream {
-	if p == nil || !p.enabled {
+	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
@@ -54,9 +52,10 @@ func (p *streamPool) get(node string) *transport.Stream {
 
 // ready returns the node's stream only once its connection is live.
 // Callers fall back to per-request HTTP while it is cold or down, so a
-// node that cannot speak the protocol (older build, -streams=false)
-// never strands work on a stream that cannot deliver it; get() has
-// still warmed the stream so it is ready next time.
+// node that cannot speak the protocol (an older build answers
+// GET /stream with 404) never strands work on a stream that cannot
+// deliver it; get() has still warmed the stream so it is ready next
+// time.
 func (p *streamPool) ready(node string) *transport.Stream {
 	st := p.get(node)
 	if st == nil || !st.Connected() {
@@ -119,14 +118,9 @@ func (g *Gateway) putBlobNode(ctx context.Context, node string, data []byte, for
 	if c == nil {
 		return out, errNotMember
 	}
-	err := g.retryTransport(ctx, node, func(ctx context.Context) error {
-		var perr error
-		if force {
-			out, perr = c.PutVBSForce(ctx, data)
-		} else {
-			out, perr = c.PutVBS(ctx, data)
-		}
-		return perr
+	err := g.retryTransport(ctx, node, func(ctx context.Context) (err error) {
+		out, err = c.PutVBS(ctx, data, force)
+		return err
 	})
 	return out, err
 }
@@ -168,7 +162,7 @@ func (g *Gateway) nodeBatch(ctx context.Context, node string, req server.BatchRe
 	}
 	hctx, cancel := context.WithTimeout(ctx, g.hop)
 	defer cancel()
-	out, err := c.BatchCtx(hctx, req)
+	out, err := c.Batch(hctx, req)
 	g.observe(node, err)
 	return out, err
 }

@@ -75,7 +75,7 @@ func (d *Decoded) SizeBits() int { return d.members * d.VBS.P.NRaw() }
 
 // DecodeVBS de-virtualizes every entry of the VBS concurrently with
 // the given worker count (0 selects GOMAXPROCS) onto a blank grid
-// exactly the task's size, through core.VBS.DecodeIntoParallel — the
+// exactly the task's size, through core.VBS.DecodeInto — the
 // decoder everything else uses, so the Decoded owns its bits outright
 // (pooled routers merge into it and are released) and may be cached
 // and shared freely. The result is deterministic regardless of worker
@@ -86,7 +86,7 @@ func DecodeVBS(v *core.VBS, workers int) (*Decoded, error) {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
 	d := blankDecoded(v)
-	if err := v.DecodeIntoParallel(d.raw, 0, 0, workers); err != nil {
+	if err := v.DecodeInto(d.raw, 0, 0, workers); err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
 	return d, nil

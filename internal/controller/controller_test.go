@@ -139,7 +139,7 @@ func TestMultiTask(t *testing.T) {
 // count.
 func TestParallelDecodeMatchesSequential(t *testing.T) {
 	v := makeTask(t, 4, 16, 5, 8, 2)
-	ref, err := v.Decode()
+	ref, err := v.Decode(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestLoadDecodedSkipsDecode(t *testing.T) {
 	if d.SizeBits() == 0 {
 		t.Error("SizeBits = 0")
 	}
-	ref, err := v.Decode()
+	ref, err := v.Decode(1)
 	if err != nil {
 		t.Fatal(err)
 	}

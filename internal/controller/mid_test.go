@@ -84,7 +84,7 @@ func TestMidSetGoldenHashes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		raw, err := v.Decode()
+		raw, err := v.Decode(1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}

@@ -83,7 +83,7 @@ func TestEncodeDecodeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cluster %d seed %d: %v", cluster, seed, err)
 			}
-			decoded, err := v.Decode()
+			decoded, err := v.Decode(1)
 			if err != nil {
 				t.Fatalf("cluster %d seed %d decode: %v", cluster, seed, err)
 			}
@@ -149,7 +149,7 @@ func TestRelocation(t *testing.T) {
 	var reference *bitstream.Raw
 	for _, pos := range positions {
 		target := bitstream.New(v.P, big)
-		if err := v.DecodeInto(target, pos.x, pos.y); err != nil {
+		if err := v.DecodeInto(target, pos.x, pos.y, 1); err != nil {
 			t.Fatalf("decode at (%d,%d): %v", pos.x, pos.y, err)
 		}
 		if reference == nil {
@@ -185,15 +185,15 @@ func TestDecodeIntoBoundsCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := bitstream.New(v.P, arch.Grid{Width: v.TaskW - 1, Height: v.TaskH})
-	if err := v.DecodeInto(small, 0, 0); err == nil {
+	if err := v.DecodeInto(small, 0, 0, 1); err == nil {
 		t.Error("oversized task accepted")
 	}
 	big := bitstream.New(v.P, arch.Grid{Width: v.TaskW + 2, Height: v.TaskH + 2})
-	if err := v.DecodeInto(big, 3, 0); err == nil {
+	if err := v.DecodeInto(big, 3, 0, 1); err == nil {
 		t.Error("out-of-bounds placement accepted")
 	}
 	wrongArch := bitstream.New(arch.Params{W: 9, K: 6}, arch.Grid{Width: v.TaskW, Height: v.TaskH})
-	if err := v.DecodeInto(wrongArch, 0, 0); err == nil {
+	if err := v.DecodeInto(wrongArch, 0, 0, 1); err == nil {
 		t.Error("architecture mismatch accepted")
 	}
 }
@@ -214,11 +214,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 			t.Fatalf("cluster %d: %v", cluster, err)
 		}
 		// The parsed VBS must decode to the identical raw bitstream.
-		a, err := v.Decode()
+		a, err := v.Decode(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.Decode()
+		b, err := back.Decode(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,8 +285,8 @@ func TestMacroSkipping(t *testing.T) {
 		t.Error("keeping empty regions should cost bits")
 	}
 	// Both must decode identically.
-	a, _ := v.Decode()
-	b, _ := vAll.Decode()
+	a, _ := v.Decode(1)
+	b, _ := vAll.Decode(1)
 	if !a.Equal(b) {
 		t.Error("empty entries changed the decoded configuration")
 	}
@@ -303,7 +303,7 @@ func TestFallbackGuarantee(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		_ = stats
-		decoded, err := v.Decode()
+		decoded, err := v.Decode(1)
 		if err != nil {
 			t.Fatalf("seed %d decode: %v", seed, err)
 		}
@@ -440,7 +440,7 @@ func BenchmarkDecodeCluster1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.Decode(); err != nil {
+		if _, err := v.Decode(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -455,7 +455,7 @@ func BenchmarkDecodeCluster3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.Decode(); err != nil {
+		if _, err := v.Decode(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -481,7 +481,7 @@ func TestEncodeBestPicksSmallest(t *testing.T) {
 		}
 	}
 	// The winner still verifies.
-	decoded, err := best.Decode()
+	decoded, err := best.Decode(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,19 +12,20 @@ import (
 )
 
 // Decode de-virtualizes the VBS into a raw bitstream covering the
-// task's own w×h grid (the task placed at the origin). It is the
-// single-threaded reference decoder; the runtime controller wraps it
-// with placement and parallel region decoding.
+// task's own w×h grid (the task placed at the origin), spreading the
+// entries over workers as DecodeInto does. Decode(1) is the
+// single-threaded reference decoder; the runtime controller wraps
+// decoding with placement.
 //
 // Decoding is a pure function of the VBS contents: the same
 // deterministic region router runs regardless of the final position,
 // which is what makes the format relocatable. Wires missing at a
 // particular position (fabric edges) are guaranteed unused by the
 // encoder's feedback loop.
-func (v *VBS) Decode() (*bitstream.Raw, error) {
+func (v *VBS) Decode(workers int) (*bitstream.Raw, error) {
 	g := arch.Grid{Width: v.TaskW, Height: v.TaskH}
 	out := bitstream.New(v.P, g)
-	if err := v.DecodeInto(out, 0, 0); err != nil {
+	if err := v.DecodeInto(out, 0, 0, workers); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -32,20 +33,21 @@ func (v *VBS) Decode() (*bitstream.Raw, error) {
 
 // DecodeInto de-virtualizes the task into an existing fabric
 // configuration with the task's south-west macro at (x0, y0). The
-// target must be large enough to hold the task. Entries decode
-// in-place through pooled region routers: at steady state the only
-// writes are word-level ORs into the target's bit vectors and nothing
-// is allocated.
-func (v *VBS) DecodeInto(target *bitstream.Raw, x0, y0 int) error {
+// target must be large enough to hold the task. Entries are decoded by
+// the given worker count: 1 runs them serially in the caller's
+// goroutine, 0 selects GOMAXPROCS. Entries cover disjoint macros, so
+// workers write disjoint target vectors and the result is
+// bit-identical whatever the count. Entries decode in-place through
+// pooled region routers: at steady state the only writes are
+// word-level ORs into the target's bit vectors and nothing is
+// allocated.
+func (v *VBS) DecodeInto(target *bitstream.Raw, x0, y0, workers int) error {
 	if err := v.checkTarget(target, x0, y0); err != nil {
 		return err
 	}
-	for i := range v.Entries {
-		if err := v.decodeEntry(i, target, x0, y0); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.eachEntryParallel(workers, func(i int) error {
+		return v.decodeEntry(i, target, x0, y0)
+	})
 }
 
 // decodeEntry is DecodeEntryInto with the entry named in the error.
@@ -55,31 +57,6 @@ func (v *VBS) decodeEntry(i int, target *bitstream.Raw, x0, y0 int) error {
 			i, v.Entries[i].X, v.Entries[i].Y, err)
 	}
 	return nil
-}
-
-// DecodeParallel is Decode with entries de-virtualized concurrently by
-// the given worker count (0 selects GOMAXPROCS). Entries cover
-// disjoint macros, so workers write disjoint target vectors; the
-// result is bit-identical to Decode regardless of worker count. The
-// encoder's feedback verification runs through this path.
-func (v *VBS) DecodeParallel(workers int) (*bitstream.Raw, error) {
-	g := arch.Grid{Width: v.TaskW, Height: v.TaskH}
-	out := bitstream.New(v.P, g)
-	if err := v.DecodeIntoParallel(out, 0, 0, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeIntoParallel is DecodeInto with entries decoded concurrently
-// by the given worker count (0 selects GOMAXPROCS).
-func (v *VBS) DecodeIntoParallel(target *bitstream.Raw, x0, y0, workers int) error {
-	if err := v.checkTarget(target, x0, y0); err != nil {
-		return err
-	}
-	return v.eachEntryParallel(workers, func(i int) error {
-		return v.decodeEntry(i, target, x0, y0)
-	})
 }
 
 // checkTarget validates the VBS and the placement rectangle once per

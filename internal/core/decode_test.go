@@ -23,12 +23,12 @@ func TestDecodeVariantsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster %d: %v", cluster, err)
 		}
-		ref, err := v.Decode()
+		ref, err := v.Decode(1)
 		if err != nil {
 			t.Fatalf("cluster %d: %v", cluster, err)
 		}
 		for _, workers := range []int{1, 2, 7} {
-			got, err := v.DecodeParallel(workers)
+			got, err := v.Decode(workers)
 			if err != nil {
 				t.Fatalf("cluster %d workers %d: %v", cluster, workers, err)
 			}
@@ -39,7 +39,7 @@ func TestDecodeVariantsBitIdentical(t *testing.T) {
 		// Repeated decodes exercise pooled-router reuse; results must not
 		// drift with reuse.
 		for round := 0; round < 3; round++ {
-			again, err := v.Decode()
+			again, err := v.Decode(1)
 			if err != nil {
 				t.Fatalf("cluster %d round %d: %v", cluster, round, err)
 			}
@@ -67,7 +67,7 @@ func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	}
 	target := bitstream.New(v.P, arch.Grid{Width: v.TaskW, Height: v.TaskH})
 	decode := func() {
-		if err := v.DecodeInto(target, 0, 0); err != nil {
+		if err := v.DecodeInto(target, 0, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestParallelDecodeStopsAtFirstFailure(t *testing.T) {
 		t.Fatalf("flow too small: %d entries, bad entry %d", len(v.Entries), k)
 	}
 	target := bitstream.New(v.P, arch.Grid{Width: v.TaskW, Height: v.TaskH})
-	want := v.DecodeInto(target, 0, 0)
+	want := v.DecodeInto(target, 0, 0, 1)
 	if want == nil || !strings.Contains(want.Error(), "out of range") {
 		t.Fatalf("sequential decode of the malformed container: %v", want)
 	}
@@ -126,8 +126,8 @@ func TestParallelDecodeStopsAtFirstFailure(t *testing.T) {
 		if n := int(started.Load()); n > k+workers {
 			t.Errorf("workers %d: %d entries started after entry %d failed, want at most %d", workers, n, k, k+workers)
 		}
-		if err := v.DecodeIntoParallel(target, 0, 0, workers); err == nil || err.Error() != want.Error() {
-			t.Errorf("workers %d: DecodeIntoParallel error %v, want %v", workers, err, want)
+		if err := v.DecodeInto(target, 0, 0, workers); err == nil || err.Error() != want.Error() {
+			t.Errorf("workers %d: DecodeInto error %v, want %v", workers, err, want)
 		}
 	}
 }

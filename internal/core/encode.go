@@ -227,7 +227,7 @@ func Encode(d *netlist.Design, pl *place.Placement, res *route.Result, opt Encod
 	if !opt.SkipVerify {
 		// The feedback verification decodes the whole VBS through the
 		// same parallel entry-level path the runtime controller uses.
-		decoded, err := v.DecodeParallel(0)
+		decoded, err := v.Decode(0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: feedback decode: %w", err)
 		}

@@ -67,7 +67,7 @@ func TestDecodeNeverPanicsOnParsedMutants(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, err := parsed.Decode(); err == nil {
+		if _, err := parsed.Decode(1); err == nil {
 			decoded++
 		}
 	}
@@ -109,11 +109,11 @@ func TestDecodeIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := v.Decode()
+		a, err := v.Decode(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := v.Decode()
+		b, err := v.Decode(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestRawFallbackPathRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := back.Decode()
+	decoded, err := back.Decode(1)
 	if err != nil {
 		t.Fatal(err)
 	}

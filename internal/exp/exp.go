@@ -213,7 +213,7 @@ func runBenchmark(cfg Config, prof mcnc.Profile) (*BenchResult, error) {
 		}
 		encodeTime := time.Since(start)
 		start = time.Now()
-		if _, err := v.Decode(); err != nil {
+		if _, err := v.Decode(1); err != nil {
 			return nil, fmt.Errorf("decode c=%d: %w", c, err)
 		}
 		decodeTime := time.Since(start)

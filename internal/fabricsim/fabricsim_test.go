@@ -175,7 +175,7 @@ func TestVBSDecodedFabricBehaves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster %d: %v", cluster, err)
 		}
-		decoded, err := v.Decode()
+		decoded, err := v.Decode(1)
 		if err != nil {
 			t.Fatalf("cluster %d: %v", cluster, err)
 		}
@@ -226,7 +226,7 @@ func TestRandomCircuitsBehave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		decoded, err := v.Decode()
+		decoded, err := v.Decode(1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestGenTaskDeterministicAndDecodable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generated container does not parse: %v", err)
 	}
-	if _, err := v.Decode(); err != nil {
+	if _, err := v.Decode(1); err != nil {
 		t.Fatalf("generated container does not decode: %v", err)
 	}
 }

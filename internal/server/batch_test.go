@@ -24,7 +24,7 @@ func TestBatchMixedOps(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	resp, err := c.BatchCtx(ctx, server.BatchRequest{Ops: []server.BatchOp{
+	resp, err := c.Batch(ctx, server.BatchRequest{Ops: []server.BatchOp{
 		server.BatchLoadOp(data),
 		server.BatchLoadOp(data),
 	}})
@@ -45,7 +45,7 @@ func TestBatchMixedOps(t *testing.T) {
 	digest := resp.Results[0].Load.Digest
 	id := resp.Results[0].Load.ID
 
-	resp, err = c.BatchCtx(ctx, server.BatchRequest{Ops: []server.BatchOp{
+	resp, err = c.Batch(ctx, server.BatchRequest{Ops: []server.BatchOp{
 		{Op: "get", Digest: digest},
 		{Op: "unload", ID: id},
 		{Op: "unload", ID: 99999},
@@ -65,7 +65,7 @@ func TestBatchMixedOps(t *testing.T) {
 	}
 
 	// A batch that is malformed as a whole is refused outright.
-	if _, err := c.BatchCtx(ctx, server.BatchRequest{}); server.StatusCode(err) != http.StatusBadRequest {
+	if _, err := c.Batch(ctx, server.BatchRequest{}); server.StatusCode(err) != http.StatusBadRequest {
 		t.Fatalf("empty batch: got %v, want 400", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestStreamObjPut(t *testing.T) {
 	}
 
 	// The mismatched put from above must never have been admitted.
-	if _, err := c.GetVBSCtx(context.Background(), wrong.String()); server.StatusCode(err) != http.StatusNotFound {
+	if _, err := c.GetVBS(context.Background(), wrong.String()); server.StatusCode(err) != http.StatusNotFound {
 		t.Fatalf("corrupt objput visible: %v", err)
 	}
 }
@@ -160,10 +160,10 @@ func TestStreamTombstone(t *testing.T) {
 	digest := store.DigestOf(data)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.PutVBS(ctx, data); err != nil {
+	if _, err := c.PutVBS(ctx, data, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteVBSCtx(ctx, digest.String()); err != nil {
+	if err := c.DeleteVBS(ctx, digest.String()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +194,7 @@ func waitBlob(t *testing.T, c *server.Client, digest string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := c.GetVBSCtx(context.Background(), digest); err == nil {
+		if _, err := c.GetVBS(context.Background(), digest); err == nil {
 			return
 		}
 		if time.Now().After(deadline) {

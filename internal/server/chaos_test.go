@@ -26,7 +26,7 @@ func TestChaosFaultsEndpoint(t *testing.T) {
 	if err := cl.SetFaults(ctx, server.ChaosFaults{FailPuts: true}); err != nil {
 		t.Fatalf("SetFaults: %v", err)
 	}
-	_, err = cl.PutVBS(ctx, data)
+	_, err = cl.PutVBS(ctx, data, false)
 	if err == nil {
 		t.Fatal("PutVBS succeeded with FailPuts armed")
 	}
@@ -37,7 +37,7 @@ func TestChaosFaultsEndpoint(t *testing.T) {
 	if err := cl.SetFaults(ctx, server.ChaosFaults{}); err != nil {
 		t.Fatalf("clear SetFaults: %v", err)
 	}
-	put, err := cl.PutVBS(ctx, data)
+	put, err := cl.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatalf("PutVBS after clearing: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestChaosFaultsEndpoint(t *testing.T) {
 		t.Fatalf("HasVBS(absent) = %v, %v, want false, nil", ok, err)
 	}
 
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

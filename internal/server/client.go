@@ -9,15 +9,13 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
-// Client is a thin Go client for the vbsd HTTP API. Every method has
-// a *Ctx variant taking a context.Context for per-call timeouts and
-// cancellation (the cluster gateway uses them to bound each hop); the
-// plain methods are background-context wrappers.
+// Client is a thin Go client for the vbsd HTTP API. Every method takes
+// a context.Context first for per-call timeouts and cancellation (the
+// cluster gateway uses it to bound each hop).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -64,7 +62,37 @@ func ErrorMessage(err error) string {
 	return err.Error()
 }
 
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// send issues one request and hands a 2xx response to the caller, who
+// must close its body. A non-2xx reply is drained into an *apiError.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		var er errorResponse
+		msg := resp.Status
+		if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error != "" {
+			msg = er.Error
+		}
+		return nil, &apiError{Status: resp.StatusCode, Message: msg}
+	}
+	return resp, nil
+}
+
+// Do sends in (when non-nil) as a JSON body to path and decodes a 2xx
+// reply into out (when non-nil). The endpoint methods ride it, and so
+// do clients of endpoints only the gateway serves (cluster.Admin), so
+// their errors answer StatusCode and ErrorMessage too.
+func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -73,35 +101,15 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return readAPIError(resp)
-	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	return nil
-}
-
-// readAPIError drains a non-2xx reply into an *apiError.
-func readAPIError(resp *http.Response) error {
-	var er errorResponse
-	msg := resp.Status
-	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error != "" {
-		msg = er.Error
-	}
-	return &apiError{Status: resp.StatusCode, Message: msg}
 }
 
 // DecodeStreamResult maps a transport result envelope onto the same
@@ -127,149 +135,81 @@ func DecodeStreamResult(resp []byte, out any) error {
 	return nil
 }
 
-// Load submits a VBS container for placement. fabric/x/y follow
-// LoadRequest semantics (nil = daemon's choice).
-func (c *Client) Load(container []byte, fabric, x, y *int) (LoadResponse, error) {
-	return c.LoadCtx(context.Background(), container, fabric, x, y)
-}
-
-// LoadCtx is Load bounded by ctx.
-func (c *Client) LoadCtx(ctx context.Context, container []byte, fabric, x, y *int) (LoadResponse, error) {
-	return c.LoadWithCtx(ctx, container, LoadRequest{Fabric: fabric, X: x, Y: y})
-}
-
-// LoadWith submits a VBS container with full LoadRequest control
-// (fabric/position pinning, per-request placement policy). The VBS
-// field of req is filled from container.
-func (c *Client) LoadWith(container []byte, req LoadRequest) (LoadResponse, error) {
-	return c.LoadWithCtx(context.Background(), container, req)
-}
-
-// LoadWithCtx is LoadWith bounded by ctx.
-func (c *Client) LoadWithCtx(ctx context.Context, container []byte, req LoadRequest) (LoadResponse, error) {
+// Load submits a VBS container for placement. req carries the
+// fabric/position pinning and the per-request placement policy (the
+// zero value leaves every choice to the daemon); its VBS field is
+// filled from container.
+func (c *Client) Load(ctx context.Context, container []byte, req LoadRequest) (LoadResponse, error) {
 	req.VBS = base64.StdEncoding.EncodeToString(container)
 	var out LoadResponse
-	err := c.do(ctx, http.MethodPost, "/tasks", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/tasks", req, &out)
 	return out, err
 }
 
-// LoadVBS encodes and submits a parsed VBS.
-func (c *Client) LoadVBS(v *core.VBS) (LoadResponse, error) {
-	return c.LoadVBSCtx(context.Background(), v)
-}
-
-// LoadVBSCtx is LoadVBS bounded by ctx.
-func (c *Client) LoadVBSCtx(ctx context.Context, v *core.VBS) (LoadResponse, error) {
-	data, err := v.Encode()
-	if err != nil {
-		return LoadResponse{}, err
-	}
-	return c.LoadCtx(ctx, data, nil, nil, nil)
-}
-
 // Unload removes a loaded task.
-func (c *Client) Unload(id int64) error {
-	return c.UnloadCtx(context.Background(), id)
-}
-
-// UnloadCtx is Unload bounded by ctx.
-func (c *Client) UnloadCtx(ctx context.Context, id int64) error {
-	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/tasks/%d", id), nil, nil)
+func (c *Client) Unload(ctx context.Context, id int64) error {
+	return c.Do(ctx, http.MethodDelete, fmt.Sprintf("/tasks/%d", id), nil, nil)
 }
 
 // Relocate moves a loaded task on its fabric.
-func (c *Client) Relocate(id int64, x, y int) (TaskInfo, error) {
-	return c.RelocateCtx(context.Background(), id, x, y)
-}
-
-// RelocateCtx is Relocate bounded by ctx.
-func (c *Client) RelocateCtx(ctx context.Context, id int64, x, y int) (TaskInfo, error) {
+func (c *Client) Relocate(ctx context.Context, id int64, x, y int) (TaskInfo, error) {
 	var out TaskInfo
-	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/tasks/%d/relocate", id),
+	err := c.Do(ctx, http.MethodPost, fmt.Sprintf("/tasks/%d/relocate", id),
 		RelocateRequest{X: &x, Y: &y}, &out)
 	return out, err
 }
 
 // Compact defragments one fabric, returning how many tasks moved.
-func (c *Client) Compact(fabric int) (CompactResponse, error) {
-	return c.CompactCtx(context.Background(), fabric)
-}
-
-// CompactCtx is Compact bounded by ctx.
-func (c *Client) CompactCtx(ctx context.Context, fabric int) (CompactResponse, error) {
+func (c *Client) Compact(ctx context.Context, fabric int) (CompactResponse, error) {
 	var out CompactResponse
-	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/fabrics/%d/compact", fabric), nil, &out)
+	err := c.Do(ctx, http.MethodPost, fmt.Sprintf("/fabrics/%d/compact", fabric), nil, &out)
 	return out, err
 }
 
 // Tasks lists loaded tasks.
-func (c *Client) Tasks() ([]TaskInfo, error) {
-	return c.TasksCtx(context.Background())
-}
-
-// TasksCtx is Tasks bounded by ctx.
-func (c *Client) TasksCtx(ctx context.Context) ([]TaskInfo, error) {
+func (c *Client) Tasks(ctx context.Context) ([]TaskInfo, error) {
 	var out []TaskInfo
-	err := c.do(ctx, http.MethodGet, "/tasks", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/tasks", nil, &out)
 	return out, err
 }
 
 // Fabrics describes the daemon's fabric pool.
-func (c *Client) Fabrics() ([]FabricInfo, error) {
-	return c.FabricsCtx(context.Background())
-}
-
-// FabricsCtx is Fabrics bounded by ctx.
-func (c *Client) FabricsCtx(ctx context.Context) ([]FabricInfo, error) {
+func (c *Client) Fabrics(ctx context.Context) ([]FabricInfo, error) {
 	var out []FabricInfo
-	err := c.do(ctx, http.MethodGet, "/fabrics", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/fabrics", nil, &out)
 	return out, err
 }
 
 // Stats fetches the daemon-wide counters.
-func (c *Client) Stats() (StatsResponse, error) {
-	return c.StatsCtx(context.Background())
-}
-
-// StatsCtx is Stats bounded by ctx.
-func (c *Client) StatsCtx(ctx context.Context) (StatsResponse, error) {
+func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var out StatsResponse
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/stats", nil, &out)
 	return out, err
 }
 
 // Health probes GET /healthz, returning nil when the daemon answers
 // 200 within the context deadline.
 func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.Do(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
 // PutVBS admits a container into the daemon's store without placing a
 // task (POST /vbs) — the gateway's replication primitive. A delete
-// tombstone refuses the put with 410 Gone; see PutVBSForce.
-func (c *Client) PutVBS(ctx context.Context, container []byte) (PutVBSResponse, error) {
-	return c.putVBS(ctx, container, false)
-}
-
-// PutVBSForce is PutVBS with the tombstone override: an explicit user
-// write that lifts any delete tombstone before admitting.
-func (c *Client) PutVBSForce(ctx context.Context, container []byte) (PutVBSResponse, error) {
-	return c.putVBS(ctx, container, true)
-}
-
-func (c *Client) putVBS(ctx context.Context, container []byte, force bool) (PutVBSResponse, error) {
+// tombstone refuses the put with 410 Gone unless force is set: force
+// marks an explicit user write, which lifts any tombstone first.
+func (c *Client) PutVBS(ctx context.Context, container []byte, force bool) (PutVBSResponse, error) {
 	var out PutVBSResponse
-	err := c.do(ctx, http.MethodPost, "/vbs",
+	err := c.Do(ctx, http.MethodPost, "/vbs",
 		PutVBSRequest{VBS: base64.StdEncoding.EncodeToString(container), Force: force}, &out)
 	return out, err
 }
 
-// BatchCtx submits a mixed batch of task operations in one round trip
+// Batch submits a mixed batch of task operations in one round trip
 // (POST /tasks:batch). Per-op outcomes come back in request order;
 // the call errs only when the batch as a whole is refused.
-func (c *Client) BatchCtx(ctx context.Context, req BatchRequest) (BatchResponse, error) {
+func (c *Client) Batch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
 	var out BatchResponse
-	err := c.do(ctx, http.MethodPost, "/tasks:batch", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/tasks:batch", req, &out)
 	return out, err
 }
 
@@ -293,36 +233,19 @@ func BatchError(r BatchResult) error {
 }
 
 // ListVBS lists every stored blob across the RAM and disk tiers.
-func (c *Client) ListVBS() ([]VBSInfo, error) {
-	return c.ListVBSCtx(context.Background())
-}
-
-// ListVBSCtx is ListVBS bounded by ctx.
-func (c *Client) ListVBSCtx(ctx context.Context) ([]VBSInfo, error) {
+func (c *Client) ListVBS(ctx context.Context) ([]VBSInfo, error) {
 	var out []VBSInfo
-	err := c.do(ctx, http.MethodGet, "/vbs", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/vbs", nil, &out)
 	return out, err
 }
 
 // GetVBS downloads a stored container verbatim by hex digest.
-func (c *Client) GetVBS(digest string) ([]byte, error) {
-	return c.GetVBSCtx(context.Background(), digest)
-}
-
-// GetVBSCtx is GetVBS bounded by ctx.
-func (c *Client) GetVBSCtx(ctx context.Context, digest string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/vbs/"+digest, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+func (c *Client) GetVBS(ctx context.Context, digest string) ([]byte, error) {
+	resp, err := c.send(ctx, http.MethodGet, "/vbs/"+digest, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, readAPIError(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 
@@ -330,21 +253,14 @@ func (c *Client) GetVBSCtx(ctx context.Context, digest string) ([]byte, error) {
 // no payload (Go's ServeMux "GET /vbs/{digest}" pattern also matches
 // HEAD). Used by the gateway's read-repair owner verification.
 func (c *Client) HasVBS(ctx context.Context, digest string) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.base+"/vbs/"+digest, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
+	resp, err := c.send(ctx, http.MethodHead, "/vbs/"+digest, nil)
+	if StatusCode(err) == http.StatusNotFound {
 		return false, nil
-	case resp.StatusCode >= 300:
-		return false, readAPIError(resp)
 	}
+	if err != nil {
+		return false, err
+	}
+	resp.Body.Close()
 	return true, nil
 }
 
@@ -352,19 +268,14 @@ func (c *Client) HasVBS(ctx context.Context, digest string) (bool, error) {
 // fault-injection seam. The node must run with chaos endpoints
 // enabled (vbsd -chaos) and a data dir.
 func (c *Client) SetFaults(ctx context.Context, f ChaosFaults) error {
-	return c.do(ctx, http.MethodPost, "/chaos/faults", f, nil)
+	return c.Do(ctx, http.MethodPost, "/chaos/faults", f, nil)
 }
 
 // DeleteVBS drops a stored blob from both tiers and records a delete
 // tombstone so automated re-replication cannot resurrect it. The
 // daemon refuses (409) while any live task references the digest.
-func (c *Client) DeleteVBS(digest string) error {
-	return c.DeleteVBSCtx(context.Background(), digest)
-}
-
-// DeleteVBSCtx is DeleteVBS bounded by ctx.
-func (c *Client) DeleteVBSCtx(ctx context.Context, digest string) error {
-	return c.do(ctx, http.MethodDelete, "/vbs/"+digest, nil, nil)
+func (c *Client) DeleteVBS(ctx context.Context, digest string) error {
+	return c.Do(ctx, http.MethodDelete, "/vbs/"+digest, nil, nil)
 }
 
 // TrimVBS physically removes a blob without tombstoning — the
@@ -372,61 +283,54 @@ func (c *Client) DeleteVBSCtx(ctx context.Context, digest string) error {
 // must stay storable elsewhere. Refused (409) while tasks reference
 // the digest.
 func (c *Client) TrimVBS(ctx context.Context, digest string) error {
-	return c.do(ctx, http.MethodDelete, "/vbs/"+digest+"?trim=1", nil, nil)
+	return c.Do(ctx, http.MethodDelete, "/vbs/"+digest+"?trim=1", nil, nil)
 }
 
 // Tombstones lists the node's live delete tombstones.
 func (c *Client) Tombstones(ctx context.Context) ([]TombstoneInfo, error) {
 	var out []TombstoneInfo
-	err := c.do(ctx, http.MethodGet, "/tombstones", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/tombstones", nil, &out)
 	return out, err
 }
 
-// StartJobCtx launches a background job (POST /jobs) and returns its
+// StartJob launches a background job (POST /jobs) and returns its
 // initial snapshot. An unknown kind is a 400, an exclusive collision
 // a 409 (inspect with StatusCode).
-func (c *Client) StartJobCtx(ctx context.Context, kind string, args map[string]string) (JobInfo, error) {
+func (c *Client) StartJob(ctx context.Context, kind string, args map[string]string) (JobInfo, error) {
 	var out JobInfo
-	err := c.do(ctx, http.MethodPost, "/jobs", StartJobRequest{Kind: kind, Args: args}, &out)
+	err := c.Do(ctx, http.MethodPost, "/jobs", StartJobRequest{Kind: kind, Args: args}, &out)
 	return out, err
 }
 
-// JobsCtx lists every running and recently finished job.
-func (c *Client) JobsCtx(ctx context.Context) ([]JobInfo, error) {
+// Jobs lists every running and recently finished job.
+func (c *Client) Jobs(ctx context.Context) ([]JobInfo, error) {
 	var out []JobInfo
-	err := c.do(ctx, http.MethodGet, "/jobs", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/jobs", nil, &out)
 	return out, err
 }
 
-// JobCtx fetches one job's snapshot by id.
-func (c *Client) JobCtx(ctx context.Context, id int64) (JobInfo, error) {
+// Job fetches one job's snapshot by id.
+func (c *Client) Job(ctx context.Context, id int64) (JobInfo, error) {
 	var out JobInfo
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d", id), nil, &out)
+	err := c.Do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d", id), nil, &out)
 	return out, err
 }
 
-// AbortJobCtx signals a job to stop (DELETE /jobs/{id}); the runner
-// winds down asynchronously — poll JobCtx for the terminal state.
-func (c *Client) AbortJobCtx(ctx context.Context, id int64) (JobInfo, error) {
+// AbortJob signals a job to stop (DELETE /jobs/{id}); the runner
+// winds down asynchronously — poll Job for the terminal state.
+func (c *Client) AbortJob(ctx context.Context, id int64) (JobInfo, error) {
 	var out JobInfo
-	err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/jobs/%d", id), nil, &out)
+	err := c.Do(ctx, http.MethodDelete, fmt.Sprintf("/jobs/%d", id), nil, &out)
 	return out, err
 }
 
-// MetricsCtx scrapes GET /metrics and parses the Prometheus text
+// Metrics scrapes GET /metrics and parses the Prometheus text
 // exposition into samples.
-func (c *Client) MetricsCtx(ctx context.Context) ([]metrics.Sample, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+func (c *Client) Metrics(ctx context.Context) ([]metrics.Sample, error) {
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, readAPIError(resp)
-	}
 	return metrics.Parse(resp.Body)
 }

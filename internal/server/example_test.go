@@ -27,22 +27,22 @@ func Example_clientServer() {
 		panic(err)
 	}
 
-	first, err := cl.LoadCtx(ctx, container, nil, nil, nil)
+	first, err := cl.Load(ctx, container, server.LoadRequest{})
 	if err != nil {
 		panic(err)
 	}
-	second, err := cl.LoadCtx(ctx, container, nil, nil, nil)
+	second, err := cl.Load(ctx, container, server.LoadRequest{})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("first load cached: %v\n", first.Cached)
 	fmt.Printf("second load cached: %v\n", second.Cached)
 
-	if _, err := cl.RelocateCtx(ctx, second.ID, 9, 9); err != nil {
+	if _, err := cl.Relocate(ctx, second.ID, 9, 9); err != nil {
 		panic(err)
 	}
 
-	st, err := cl.StatsCtx(ctx)
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		panic(err)
 	}

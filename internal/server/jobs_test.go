@@ -15,7 +15,7 @@ func waitTerminal(t *testing.T, c *server.Client, id int64) server.JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		j, err := c.JobCtx(context.Background(), id)
+		j, err := c.Job(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,16 +39,16 @@ func TestJobsHTTPSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PutVBS(ctx, data); err != nil {
+	if _, err := c.PutVBS(ctx, data, false); err != nil {
 		t.Fatal(err)
 	}
 
 	// Unknown kind: 400 with the defined kinds in the message.
-	if _, err := c.StartJobCtx(ctx, "nope", nil); server.StatusCode(err) != 400 {
+	if _, err := c.StartJob(ctx, "nope", nil); server.StatusCode(err) != 400 {
 		t.Fatalf("unknown kind err = %v, want 400", err)
 	}
 
-	j, err := c.StartJobCtx(ctx, "warm", nil)
+	j, err := c.StartJob(ctx, "warm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestJobsHTTPSurface(t *testing.T) {
 		t.Fatalf("warm job = %+v, want done with warmed=1", done)
 	}
 
-	scrub, err := c.StartJobCtx(ctx, "scrub", nil)
+	scrub, err := c.StartJob(ctx, "scrub", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestJobsHTTPSurface(t *testing.T) {
 		t.Fatalf("scrub job = %+v, want done with checked=1", sdone)
 	}
 
-	ls, err := c.JobsCtx(ctx)
+	ls, err := c.Jobs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +78,17 @@ func TestJobsHTTPSurface(t *testing.T) {
 	}
 
 	// Abort of a finished job is a no-op 200; unknown id is 404.
-	if _, err := c.AbortJobCtx(ctx, scrub.ID); err != nil {
+	if _, err := c.AbortJob(ctx, scrub.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AbortJobCtx(ctx, 99999); server.StatusCode(err) != 404 {
+	if _, err := c.AbortJob(ctx, 99999); server.StatusCode(err) != 404 {
 		t.Fatalf("abort of unknown id err = %v, want 404", err)
 	}
 }
 
 func TestJobsScrubWithoutDiskFails(t *testing.T) {
 	c, _ := newTestDaemon(t, 1, 16, server.Options{})
-	j, err := c.StartJobCtx(context.Background(), "scrub", nil)
+	j, err := c.StartJob(context.Background(), "scrub", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +102,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	c, _ := newTestDaemon(t, 2, 16, server.Options{})
 	ctx := context.Background()
 
-	v := makeVBS(2, 10, 4, 8, 1)
-	if _, err := c.LoadVBSCtx(ctx, v); err != nil {
+	data, err := makeVBS(2, 10, 4, 8, 1).Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.LoadVBSCtx(ctx, v); err != nil { // second load: cache hit
+	if _, err := c.Load(ctx, data, server.LoadRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(ctx, data, server.LoadRequest{}); err != nil { // second load: cache hit
 		t.Fatal(err)
 	}
 
-	samples, err := c.MetricsCtx(ctx)
+	samples, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

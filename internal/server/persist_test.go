@@ -23,7 +23,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	resp, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,14 @@ func TestRestartRoundTrip(t *testing.T) {
 	if rep := srv2.RecoveryReport(); rep.Recovered != 1 || rep.Quarantined != 0 {
 		t.Fatalf("recovery scan: %+v", rep)
 	}
-	blobs, err := cl2.ListVBSCtx(t.Context())
+	blobs, err := cl2.ListVBS(t.Context())
 	if err != nil || len(blobs) != 1 {
 		t.Fatalf("ListVBS after restart: %v blobs, %v", len(blobs), err)
 	}
 	if blobs[0].Digest != resp.Digest || !blobs[0].Disk {
 		t.Fatalf("listed blob: %+v", blobs[0])
 	}
-	got, err := cl2.GetVBSCtx(t.Context(), resp.Digest)
+	got, err := cl2.GetVBS(t.Context(), resp.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,10 @@ func TestRestartRoundTrip(t *testing.T) {
 	}
 	// And the decoded load path works from the disk tier too: loading
 	// the same container again deduplicates against the recovered blob.
-	if _, err := cl2.LoadCtx(t.Context(), data, nil, nil, nil); err != nil {
+	if _, err := cl2.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatalf("load after restart: %v", err)
 	}
-	st, err := cl2.StatsCtx(t.Context())
+	st, err := cl2.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCorruptBlobQuarantinedAtScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	resp, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,10 @@ func TestCorruptBlobQuarantinedAtScan(t *testing.T) {
 	if rep := srv2.RecoveryReport(); rep.Quarantined != 1 || rep.Recovered != 0 {
 		t.Fatalf("recovery scan: %+v", rep)
 	}
-	if _, err := cl2.GetVBSCtx(t.Context(), resp.Digest); err == nil {
+	if _, err := cl2.GetVBS(t.Context(), resp.Digest); err == nil {
 		t.Fatal("corrupt blob was served")
 	}
-	st, err := cl2.StatsCtx(t.Context())
+	st, err := cl2.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,27 +134,27 @@ func TestEvictionFallsBackToDisk(t *testing.T) {
 		DataDir:    t.TempDir(),
 		StoreBytes: len(a) + 1, // RAM holds one container at a time
 	})
-	ra, err := cl.LoadCtx(t.Context(), a, nil, nil, nil)
+	ra, err := cl.Load(t.Context(), a, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.LoadCtx(t.Context(), b, nil, nil, nil); err != nil { // evicts a from RAM
+	if _, err := cl.Load(t.Context(), b, server.LoadRequest{}); err != nil { // evicts a from RAM
 		t.Fatal(err)
 	}
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Repo.Demotions == 0 {
 		t.Fatalf("expected a demotion, stats: %+v", st.Repo)
 	}
-	got, err := cl.GetVBSCtx(t.Context(), ra.Digest)
+	got, err := cl.GetVBS(t.Context(), ra.Digest)
 	if err != nil || !bytes.Equal(got, a) {
 		t.Fatalf("evicted blob not identical from disk: %v", err)
 	}
 	// Loading the evicted task again goes through the promotion path,
 	// not a 4xx.
-	if _, err := cl.LoadCtx(t.Context(), a, nil, nil, nil); err != nil {
+	if _, err := cl.Load(t.Context(), a, server.LoadRequest{}); err != nil {
 		t.Fatalf("re-load of evicted blob: %v", err)
 	}
 }
@@ -165,24 +165,24 @@ func TestDeleteVBSRefusedWhileReferenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	resp, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = cl.DeleteVBSCtx(t.Context(), resp.Digest)
+	err = cl.DeleteVBS(t.Context(), resp.Digest)
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("DeleteVBS with live task: %v", err)
 	}
-	if err := cl.UnloadCtx(t.Context(), resp.ID); err != nil {
+	if err := cl.Unload(t.Context(), resp.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DeleteVBSCtx(t.Context(), resp.Digest); err != nil {
+	if err := cl.DeleteVBS(t.Context(), resp.Digest); err != nil {
 		t.Fatalf("DeleteVBS after unload: %v", err)
 	}
-	if _, err := cl.GetVBSCtx(t.Context(), resp.Digest); err == nil {
+	if _, err := cl.GetVBS(t.Context(), resp.Digest); err == nil {
 		t.Fatal("blob served after delete")
 	}
-	if err := cl.DeleteVBSCtx(t.Context(), resp.Digest); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := cl.DeleteVBS(t.Context(), resp.Digest); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("double DeleteVBS: %v", err)
 	}
 }
@@ -193,29 +193,29 @@ func TestVBSEndpointsWithoutDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	resp, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs, err := cl.ListVBSCtx(t.Context())
+	blobs, err := cl.ListVBS(t.Context())
 	if err != nil || len(blobs) != 1 || !blobs[0].RAM || blobs[0].Disk {
 		t.Fatalf("RAM-only ListVBS: %+v, %v", blobs, err)
 	}
 	if blobs[0].Tasks != 1 {
 		t.Fatalf("reference count: %+v", blobs[0])
 	}
-	got, err := cl.GetVBSCtx(t.Context(), resp.Digest)
+	got, err := cl.GetVBS(t.Context(), resp.Digest)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("RAM-only GetVBS: %v", err)
 	}
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Repo.Enabled {
 		t.Fatalf("repo reported enabled without a data dir: %+v", st.Repo)
 	}
-	if err := cl.DeleteVBSCtx(t.Context(), "zz-not-a-digest"); err == nil || !strings.Contains(err.Error(), "400") {
+	if err := cl.DeleteVBS(t.Context(), "zz-not-a-digest"); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("bad digest: %v", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestWarmDecodedStreamsFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.LoadCtx(t.Context(), data, nil, nil, nil); err != nil {
+	if _, err := cl.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,14 +239,14 @@ func TestWarmDecodedStreamsFromDisk(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("WarmDecoded: n=%d err=%v", n, err)
 	}
-	resp, err := cl2.LoadCtx(t.Context(), data, nil, nil, nil)
+	resp, err := cl2.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Cached {
 		t.Fatal("first load after warm-up missed the decoded cache")
 	}
-	st, err := cl2.StatsCtx(t.Context())
+	st, err := cl2.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

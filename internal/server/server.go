@@ -94,9 +94,6 @@ type Options struct {
 	// Only meaningful with a data dir: tombstones live in the disk
 	// tier.
 	TombstoneTTL time.Duration
-	// DisableStreams leaves the GET /stream upgrade endpoint off the
-	// mux, forcing intra-cluster peers back onto per-request HTTP.
-	DisableStreams bool
 }
 
 // DefaultMaxBodyBytes is the request-body bound applied when
@@ -115,7 +112,6 @@ type Server struct {
 	policy  sched.Policy
 	maxBody int64
 	chaos   bool
-	streams bool
 	tombTTL time.Duration
 	start   time.Time
 
@@ -182,7 +178,6 @@ func New(ctrls []*controller.Controller, opts Options) (*Server, error) {
 		policy:  pol,
 		maxBody: maxBody,
 		chaos:   opts.EnableChaos,
-		streams: !opts.DisableStreams,
 		tombTTL: opts.TombstoneTTL,
 		start:   time.Now(),
 		tasks:   make(map[int64]*task),
@@ -218,9 +213,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	if s.streams {
-		mux.HandleFunc("GET "+transport.DefaultPath, s.handleStream)
-	}
+	mux.HandleFunc("GET "+transport.DefaultPath, s.handleStream)
 	if s.chaos {
 		mux.HandleFunc("POST /chaos/faults", s.handleSetFaults)
 		mux.HandleFunc("GET /chaos/faults", s.handleGetFaults)

@@ -24,7 +24,7 @@ func TestLoadUnloadRelocate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLoadUnloadRelocate(t *testing.T) {
 		t.Errorf("compression ratio %v", res.CompressionRatio)
 	}
 
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLoadUnloadRelocate(t *testing.T) {
 	}
 
 	// Relocate within the fabric.
-	moved, err := cl.RelocateCtx(t.Context(), res.ID, 8, 8)
+	moved, err := cl.Relocate(t.Context(), res.ID, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,16 +55,16 @@ func TestLoadUnloadRelocate(t *testing.T) {
 		t.Errorf("relocated to (%d,%d)", moved.X, moved.Y)
 	}
 
-	if err := cl.UnloadCtx(t.Context(), res.ID); err != nil {
+	if err := cl.Unload(t.Context(), res.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.UnloadCtx(t.Context(), res.ID); err == nil {
+	if err := cl.Unload(t.Context(), res.ID); err == nil {
 		t.Error("double unload accepted")
 	} else if !strings.Contains(err.Error(), "404") {
 		t.Errorf("double unload error = %v", err)
 	}
 
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestRepeatedLoadHitsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	first, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	second, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRepeatedLoadHitsCache(t *testing.T) {
 		t.Error("content addressing returned different digests")
 	}
 
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := cl.LoadCtx(t.Context(), containers[(g+i)%len(containers)], nil, nil, nil)
+				res, err := cl.Load(t.Context(), containers[(g+i)%len(containers)], server.LoadRequest{})
 				if err != nil {
 					// The pool can be momentarily full; that is a
 					// well-formed 409, not a failure.
@@ -157,9 +157,9 @@ func TestConcurrentClients(t *testing.T) {
 				}
 				if i%2 == 0 {
 					// Best-effort relocation; contention may refuse it.
-					_, _ = cl.RelocateCtx(t.Context(), res.ID, (g*3)%16, (i*5)%16)
+					_, _ = cl.Relocate(t.Context(), res.ID, (g*3)%16, (i*5)%16)
 				}
-				if err := cl.UnloadCtx(t.Context(), res.ID); err != nil {
+				if err := cl.Unload(t.Context(), res.ID); err != nil {
 					errs <- fmt.Errorf("client %d unload: %w", g, err)
 					return
 				}
@@ -172,7 +172,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +205,14 @@ func TestFabricPinningAndPlacement(t *testing.T) {
 	}
 	one := 1
 	x, y := 4, 4
-	res, err := cl.LoadCtx(t.Context(), data, &one, &x, &y)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{Fabric: &one, X: &x, Y: &y})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Fabric != 1 || res.X != 4 || res.Y != 4 {
 		t.Errorf("placed at fabric %d (%d,%d)", res.Fabric, res.X, res.Y)
 	}
-	fabs, err := cl.FabricsCtx(t.Context())
+	fabs, err := cl.Fabrics(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestFabricPinningAndPlacement(t *testing.T) {
 		t.Errorf("occupancy = %v / %v", fabs[0].Occupancy, fabs[1].Occupancy)
 	}
 	// The same position on the same fabric is now taken.
-	if _, err := cl.LoadCtx(t.Context(), data, &one, &x, &y); err == nil {
+	if _, err := cl.Load(t.Context(), data, server.LoadRequest{Fabric: &one, X: &x, Y: &y}); err == nil {
 		t.Error("overlapping pinned load accepted")
 	}
 	// Auto-placement must prefer the emptier fabric 0.
-	auto, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	auto, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +246,9 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: error %v, want %s", what, err, code)
 		}
 	}
-	_, err := cl.LoadCtx(t.Context(), []byte("garbage container"), nil, nil, nil)
+	_, err := cl.Load(t.Context(), []byte("garbage container"), server.LoadRequest{})
 	check(err, "400", "malformed container")
-	check(func() error { _, err := cl.LoadCtx(t.Context(), nil, nil, nil, nil); return err }(),
+	check(func() error { _, err := cl.Load(t.Context(), nil, server.LoadRequest{}); return err }(),
 		"400", "empty container")
 
 	badFabric := 7
@@ -256,14 +256,14 @@ func TestBadRequests(t *testing.T) {
 	if errEnc != nil {
 		t.Fatal(errEnc)
 	}
-	_, err = cl.LoadCtx(t.Context(), data, &badFabric, nil, nil)
+	_, err = cl.Load(t.Context(), data, server.LoadRequest{Fabric: &badFabric})
 	check(err, "400", "out-of-range fabric")
 
-	_, err = cl.RelocateCtx(t.Context(), 99, 0, 0)
+	_, err = cl.Relocate(t.Context(), 99, 0, 0)
 	check(err, "404", "relocating unknown task")
 
 	x := 3
-	_, err = cl.LoadCtx(t.Context(), data, nil, &x, nil)
+	_, err = cl.Load(t.Context(), data, server.LoadRequest{X: &x})
 	check(err, "400", "x without y")
 }
 
@@ -273,7 +273,7 @@ func TestBadRequests(t *testing.T) {
 func TestMaxBodyBytes(t *testing.T) {
 	cl, _ := newTestDaemon(t, 1, 16, server.Options{MaxBodyBytes: 1024})
 
-	_, err := cl.LoadCtx(t.Context(), make([]byte, 4096), nil, nil, nil)
+	_, err := cl.Load(t.Context(), make([]byte, 4096), server.LoadRequest{})
 	if err == nil {
 		t.Fatal("oversized body accepted")
 	}
@@ -289,7 +289,7 @@ func TestMaxBodyBytes(t *testing.T) {
 	if len(data) >= 768 { // base64 inflates by 4/3 toward the 1024 cap
 		t.Fatalf("test container unexpectedly large: %d bytes", len(data))
 	}
-	if _, err := cl.LoadCtx(t.Context(), data, nil, nil, nil); err != nil {
+	if _, err := cl.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatalf("in-bound load: %v", err)
 	}
 }
@@ -305,25 +305,25 @@ func TestPutVBSAdmitsWithoutPlacement(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	res, err := cl.PutVBS(ctx, data)
+	res, err := cl.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Existed || res.Bytes != len(data) {
 		t.Errorf("first put = %+v", res)
 	}
-	if again, err := cl.PutVBS(ctx, data); err != nil || !again.Existed {
+	if again, err := cl.PutVBS(ctx, data, false); err != nil || !again.Existed {
 		t.Errorf("second put = %+v, %v", again, err)
 	}
 
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tasks) != 0 {
 		t.Errorf("put placed %d task(s)", len(tasks))
 	}
-	got, err := cl.GetVBSCtx(t.Context(), res.Digest)
+	got, err := cl.GetVBS(t.Context(), res.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestPutVBSAdmitsWithoutPlacement(t *testing.T) {
 		t.Error("stored blob differs from submitted bytes")
 	}
 
-	if _, err := cl.PutVBS(ctx, []byte("garbage")); err == nil ||
+	if _, err := cl.PutVBS(ctx, []byte("garbage"), false); err == nil ||
 		!strings.Contains(err.Error(), "400") {
 		t.Errorf("malformed put error = %v, want 400", err)
 	}
@@ -357,7 +357,7 @@ func TestUnloadControllerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestUnloadControllerFailure(t *testing.T) {
 	if err := ctrls[res.Fabric].Unload(fid); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.UnloadCtx(t.Context(), res.ID); err == nil {
+	if err := cl.Unload(t.Context(), res.ID); err == nil {
 		t.Fatal("unload reported success despite controller failure")
 	} else if !strings.Contains(err.Error(), "500") {
 		t.Fatalf("unload error = %v, want 500", err)
@@ -375,7 +375,7 @@ func TestUnloadControllerFailure(t *testing.T) {
 	// The controller no longer held the task, so its region is free:
 	// the entry must be gone (not resurrected into an undeletable
 	// phantom) and the list must again match fabric occupancy.
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestUnloadControllerFailure(t *testing.T) {
 	if used := ctrls[res.Fabric].Fabric().UsedMacros(); used != 0 {
 		t.Fatalf("fabric owns %d macros with no task listed", used)
 	}
-	if err := cl.UnloadCtx(t.Context(), res.ID); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := cl.Unload(t.Context(), res.ID); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("second unload error = %v, want 404", err)
 	}
 }
@@ -399,7 +399,7 @@ func TestRelocateRequiresCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, y := 8, 8
-	res, err := cl.LoadCtx(t.Context(), data, nil, &x, &y)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{X: &x, Y: &y})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestRelocateRequiresCoordinates(t *testing.T) {
 		}
 	}
 	// The task must not have moved.
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestRelocateRequiresCoordinates(t *testing.T) {
 		t.Errorf("task moved to (%d,%d) by rejected requests", tasks[0].X, tasks[0].Y)
 	}
 	// A complete body still works, including an explicit (0,0).
-	if _, err := cl.RelocateCtx(t.Context(), res.ID, 0, 0); err != nil {
+	if _, err := cl.Relocate(t.Context(), res.ID, 0, 0); err != nil {
 		t.Fatalf("explicit relocate to origin: %v", err)
 	}
 }
@@ -453,7 +453,7 @@ func fragmentedDaemon(t *testing.T) (*server.Client, *server.Server, []byte) {
 			t.Fatal(err)
 		}
 		x := x
-		if _, err := cl.LoadCtx(t.Context(), data, nil, &x, &y); err != nil {
+		if _, err := cl.Load(t.Context(), data, server.LoadRequest{X: &x, Y: &y}); err != nil {
 			t.Fatalf("blocker at x=%d: %v", x, err)
 		}
 	}
@@ -469,14 +469,14 @@ func fragmentedDaemon(t *testing.T) (*server.Client, *server.Server, []byte) {
 // recording it.
 func TestAutoCompactionRetry(t *testing.T) {
 	cl, _, data := fragmentedDaemon(t)
-	res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatalf("load on fragmented fabric: %v", err)
 	}
 	if !res.Compacted {
 		t.Error("load did not report the compaction retry")
 	}
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestAutoCompactionRetry(t *testing.T) {
 // demand; out-of-range indices are 404.
 func TestExplicitCompact(t *testing.T) {
 	cl, _, data := fragmentedDaemon(t)
-	res, err := cl.CompactCtx(t.Context(), 0)
+	res, err := cl.Compact(t.Context(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,19 +506,19 @@ func TestExplicitCompact(t *testing.T) {
 		t.Errorf("Compact = %+v, want fabric 0 with tasks moved", res)
 	}
 	// After explicit compaction the fragmented load fits first try.
-	load, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	load, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatalf("load after explicit compact: %v", err)
 	}
 	if load.Compacted {
 		t.Error("load needed a second compaction after an explicit one")
 	}
-	if _, err := cl.CompactCtx(t.Context(), 7); err == nil {
+	if _, err := cl.Compact(t.Context(), 7); err == nil {
 		t.Error("out-of-range fabric index accepted")
 	} else if !strings.Contains(err.Error(), "404") {
 		t.Errorf("out-of-range compact error = %v, want 404", err)
 	}
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestExplicitCompact(t *testing.T) {
 // /stats.
 func TestPolicySelection(t *testing.T) {
 	cl, _ := newTestDaemon(t, 2, 16, server.Options{Policy: "first-fit"})
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,13 +543,13 @@ func TestPolicySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.LoadWithCtx(t.Context(), data, server.LoadRequest{Policy: "no-such-policy"}); err == nil {
+	if _, err := cl.Load(t.Context(), data, server.LoadRequest{Policy: "no-such-policy"}); err == nil {
 		t.Error("unknown policy accepted")
 	} else if !strings.Contains(err.Error(), "400") {
 		t.Errorf("unknown policy error = %v, want 400", err)
 	}
 	// best-fit on an empty pool packs into a corner of fabric 0.
-	res, err := cl.LoadWithCtx(t.Context(), data, server.LoadRequest{Policy: "best-fit"})
+	res, err := cl.Load(t.Context(), data, server.LoadRequest{Policy: "best-fit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestConcurrentDeleteRelocateLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	victim, err := cl.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,25 +593,25 @@ func TestConcurrentDeleteRelocateLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = cl.UnloadCtx(t.Context(), victim.ID) // first wins, the rest must 404
+				_ = cl.Unload(t.Context(), victim.ID) // first wins, the rest must 404
 			}
 		}()
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_, _ = cl.RelocateCtx(t.Context(), victim.ID, (g*iters+i)%10, (g*iters+i)%10)
+				_, _ = cl.Relocate(t.Context(), victim.ID, (g*iters+i)%10, (g*iters+i)%10)
 			}
 		}(g)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_, _ = cl.LoadCtx(t.Context(), data, nil, nil, nil) // may 409 when full
+				_, _ = cl.Load(t.Context(), data, server.LoadRequest{}) // may 409 when full
 			}
 		}()
 	}
 	wg.Wait()
 
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +630,7 @@ func TestConcurrentDeleteRelocateLoad(t *testing.T) {
 	}
 	// Full teardown: nothing may linger.
 	for _, ti := range tasks {
-		if err := cl.UnloadCtx(t.Context(), ti.ID); err != nil {
+		if err := cl.Unload(t.Context(), ti.ID); err != nil {
 			t.Fatalf("cleanup unload %d: %v", ti.ID, err)
 		}
 	}
@@ -639,7 +639,7 @@ func TestConcurrentDeleteRelocateLoad(t *testing.T) {
 			t.Errorf("fabric %d: %d macros owned after full teardown", fi, used)
 		}
 	}
-	if rest, _ := cl.TasksCtx(t.Context()); len(rest) != 0 {
+	if rest, _ := cl.Tasks(t.Context()); len(rest) != 0 {
 		t.Errorf("tasks after teardown: %+v", rest)
 	}
 }
@@ -653,7 +653,7 @@ func TestNoCompactionOnStructuralFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.LoadCtx(t.Context(), good, nil, nil, nil)
+	res, err := cl.Load(t.Context(), good, server.LoadRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,12 +662,12 @@ func TestNoCompactionOnStructuralFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.LoadCtx(t.Context(), wrong, nil, nil, nil); err == nil {
+	if _, err := cl.Load(t.Context(), wrong, server.LoadRequest{}); err == nil {
 		t.Fatal("architecture-mismatched load accepted")
 	} else if !strings.Contains(err.Error(), "409") {
 		t.Fatalf("mismatch error = %v, want 409", err)
 	}
-	st, err := cl.StatsCtx(t.Context())
+	st, err := cl.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestNoCompactionOnStructuralFailure(t *testing.T) {
 		t.Errorf("structural failure triggered compaction: %+v", st.Placement)
 	}
 	// The loaded task was not shuffled.
-	tasks, err := cl.TasksCtx(t.Context())
+	tasks, err := cl.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,20 +21,20 @@ func TestTombstoneHTTPSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	put, err := c.PutVBS(ctx, data)
+	put, err := c.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteVBSCtx(ctx, put.Digest); err != nil {
+	if err := c.DeleteVBS(ctx, put.Digest); err != nil {
 		t.Fatalf("DeleteVBS: %v", err)
 	}
 
 	// Automated re-replication must be refused while the tombstone
 	// lives.
-	if _, err := c.PutVBS(ctx, data); server.StatusCode(err) != http.StatusGone {
+	if _, err := c.PutVBS(ctx, data, false); server.StatusCode(err) != http.StatusGone {
 		t.Fatalf("re-put of deleted digest: err = %v, want 410", err)
 	}
-	if _, err := c.GetVBSCtx(ctx, put.Digest); server.StatusCode(err) != http.StatusGone {
+	if _, err := c.GetVBS(ctx, put.Digest); server.StatusCode(err) != http.StatusGone {
 		t.Fatalf("GET of deleted digest: err = %v, want 410", err)
 	}
 	if _, err := c.HasVBS(ctx, put.Digest); server.StatusCode(err) != http.StatusGone {
@@ -44,7 +44,7 @@ func TestTombstoneHTTPSemantics(t *testing.T) {
 	if err != nil || len(ts) != 1 || ts[0].Digest != put.Digest {
 		t.Fatalf("Tombstones = %+v, %v; want one entry for %s", ts, err, put.Digest[:12])
 	}
-	st, err := c.StatsCtx(ctx)
+	st, err := c.Stats(ctx)
 	if err != nil || st.Repo.Tombstones != 1 {
 		t.Fatalf("stats repo.tombstones = %d, %v; want 1", st.Repo.Tombstones, err)
 	}
@@ -56,18 +56,18 @@ func TestTombstoneHTTPSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteVBSCtx(ctx, repo.DigestOf(other).String()); server.StatusCode(err) != http.StatusNotFound {
+	if err := c.DeleteVBS(ctx, repo.DigestOf(other).String()); server.StatusCode(err) != http.StatusNotFound {
 		t.Fatalf("DELETE of absent digest: err = %v, want 404", err)
 	}
-	if _, err := c.PutVBS(ctx, other); server.StatusCode(err) != http.StatusGone {
+	if _, err := c.PutVBS(ctx, other, false); server.StatusCode(err) != http.StatusGone {
 		t.Fatalf("put after absent-delete: err = %v, want 410", err)
 	}
 
 	// An explicit user write lifts the tombstone.
-	if _, err := c.PutVBSForce(ctx, data); err != nil {
+	if _, err := c.PutVBS(ctx, data, true); err != nil {
 		t.Fatalf("forced re-put: %v", err)
 	}
-	if got, err := c.GetVBSCtx(ctx, put.Digest); err != nil || len(got) != len(data) {
+	if got, err := c.GetVBS(ctx, put.Digest); err != nil || len(got) != len(data) {
 		t.Fatalf("GET after forced re-put: %d bytes, %v", len(got), err)
 	}
 
@@ -75,10 +75,10 @@ func TestTombstoneHTTPSemantics(t *testing.T) {
 	if err := c.TrimVBS(ctx, put.Digest); err != nil {
 		t.Fatalf("TrimVBS: %v", err)
 	}
-	if _, err := c.GetVBSCtx(ctx, put.Digest); server.StatusCode(err) != http.StatusNotFound {
+	if _, err := c.GetVBS(ctx, put.Digest); server.StatusCode(err) != http.StatusNotFound {
 		t.Fatalf("GET after trim: err = %v, want 404", err)
 	}
-	if _, err := c.PutVBS(ctx, data); err != nil {
+	if _, err := c.PutVBS(ctx, data, false); err != nil {
 		t.Fatalf("re-put after trim: %v", err)
 	}
 }
@@ -92,14 +92,14 @@ func TestLoadClearsTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	put, err := c.PutVBS(ctx, data)
+	put, err := c.PutVBS(ctx, data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteVBSCtx(ctx, put.Digest); err != nil {
+	if err := c.DeleteVBS(ctx, put.Digest); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.LoadCtx(ctx, data, nil, nil, nil)
+	res, err := c.Load(ctx, data, server.LoadRequest{})
 	if err != nil {
 		t.Fatalf("load of tombstoned digest: %v", err)
 	}

@@ -174,7 +174,7 @@ func (f *Flow) Compile(d *netlist.Design) (*Compiled, error) {
 // electrically equivalent to the design's netlist (the encoder already
 // guarantees this; Verify re-proves it from the artifacts).
 func (c *Compiled) Verify() error {
-	decoded, err := c.VBS.Decode()
+	decoded, err := c.VBS.Decode(1)
 	if err != nil {
 		return err
 	}
