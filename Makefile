@@ -13,7 +13,9 @@ test:
 # lint runs cmd/vbslint — the in-repo invariant analyzers (errwrap,
 # poolescape, lockio, atomicfaults, metricreg) plus go vet —
 # over the whole tree, tests included; staticcheck rides along when
-# installed.
+# installed. The module-wide test-only-API guard (exported internal/
+# API that only tests reach) is cmd/vbslint's TestNoTestOnlyAPI, run
+# by `make test` next to TestCleanTree.
 lint:
 	$(GO) run ./cmd/vbslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
@@ -23,14 +25,16 @@ lint:
 race:
 	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/ ./internal/fabric/ ./internal/arch/ ./internal/bits/
 
-# fuzz-smoke gives every parser that reads a socket or a disk, and the
-# region router against its heap reference, ten seconds of
-# coverage-guided fuzzing (go test -fuzz takes one target and one
-# package per run).
+# fuzz-smoke gives every parser that reads a socket or a disk (the
+# container parser, transport frames and envelopes, the Prometheus
+# exposition parser), and the region router against its heap
+# reference, ten seconds of coverage-guided fuzzing (go test -fuzz
+# takes one target and one package per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelopes$$' -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteMatchesReference$$' -fuzztime 10s ./internal/devirt/
 
 # bench-smoke is the CI guard: every decode benchmark must still run —

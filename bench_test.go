@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bits"
 	"repro/internal/bitstream"
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -81,11 +82,11 @@ func compiled(b *testing.B, name string) *benchState {
 func BenchmarkEq1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := arch.PaperExample()
-		if p.NRaw() != 284 || p.MBits() != 5 || p.BreakEven() != 28 {
+		if p.NRaw() != 284 || bits.CeilLog2(p.NumIOCodes()) != 5 || p.NRaw()/(2*bits.CeilLog2(p.NumIOCodes())) != 28 {
 			b.Fatal("Eq. (1) values drifted")
 		}
 		p20 := arch.Default()
-		if p20.NRaw() != 1004 || p20.MBits() != 7 {
+		if p20.NRaw() != 1004 || bits.CeilLog2(p20.NumIOCodes()) != 7 {
 			b.Fatal("normalized architecture drifted")
 		}
 	}
@@ -202,7 +203,7 @@ func BenchmarkLZSS(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		ratio = compress.Ratio(data)
+		ratio = float64(len(compress.CompressLZSS(data))) / float64(len(data))
 	}
 	b.ReportMetric(ratio, "ratio")
 }

@@ -11,10 +11,10 @@
 // to every replica before replying, reads fail over across the
 // replica set (falling back to a full scatter for blobs imported
 // out-of-band) and heal missing replicas on the way (read-repair).
-// Fleet-wide endpoints (GET /vbs, /tasks, /fabrics, /stats)
-// scatter-gather and merge; /stats gains a `cluster` block (node
-// health, per-node occupancy, ring version, traffic counters, and
-// rebalance progress).
+// Fleet-wide listings (GET /vbs, /tasks, /fabrics) scatter-gather and
+// merge; GET /stats is the gateway's uptime plus a `cluster` block
+// (node health, per-node occupancy, ring version, traffic counters,
+// and rebalance progress) — fleet totals stay on the nodes.
 //
 // Membership is elastic at runtime; a background rebalancer converges
 // blob placement after every change — every pass is a Job (POST /jobs
@@ -155,7 +155,7 @@ func runNode(args []string, out, errOut io.Writer) int {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	admin := cluster.NewAdmin(*gwURL, nil)
+	admin := cluster.NewAdmin(*gwURL)
 
 	var (
 		ms  cluster.MembershipResponse
@@ -202,7 +202,7 @@ func runRebalance(args []string, out, errOut io.Writer) int {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	st, err := cluster.NewAdmin(*gwURL, nil).Rebalance(ctx)
+	st, err := cluster.NewAdmin(*gwURL).Rebalance(ctx)
 	if err != nil {
 		fmt.Fprintf(errOut, "vbsgw: %v\n", err)
 		return 1

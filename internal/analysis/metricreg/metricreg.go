@@ -3,7 +3,7 @@
 //
 // Registering the same name on a metrics.Registry twice panics by
 // design — a duplicate is a wiring bug — which makes *where* the
-// registration happens load-bearing: a Counter/Gauge/Histogram call
+// registration happens load-bearing: a CounterFunc/GaugeVec/Histogram call
 // on a request or job path works exactly once and panics the process
 // on the second request. The invariant: registration methods run only
 // from init functions or from constructor-shaped functions (New*/new*,
@@ -23,10 +23,7 @@ import (
 // registration lists the metrics.Registry methods that create or hook
 // collectors (and so panic on a duplicate).
 var registration = map[string]bool{
-	"Counter":      true,
-	"CounterVec":   true,
 	"CounterFunc":  true,
-	"Gauge":        true,
 	"GaugeFunc":    true,
 	"GaugeVec":     true,
 	"Histogram":    true,

@@ -8,27 +8,27 @@ import "repro/internal/metrics"
 
 type subsystem struct {
 	reg  *metrics.Registry
-	hits *metrics.Counter
+	hits *metrics.GaugeVec
 }
 
 var pkgReg = metrics.NewRegistry()
 
 // Package-level var initializers run at init time and stay legal.
-var bootCounter = pkgReg.Counter("vbs_fixture_boot_total", "init-time")
+var bootGauge = pkgReg.GaugeVec("vbs_fixture_boot", "init-time", "phase")
 
 func init() {
-	pkgReg.Gauge("vbs_fixture_up", "init-time")
+	pkgReg.GaugeFunc("vbs_fixture_up", "init-time", func() float64 { return 1 })
 }
 
 func New() *subsystem {
 	s := &subsystem{reg: metrics.NewRegistry()}
-	s.hits = s.reg.Counter("vbs_fixture_hits_total", "constructor-time")
+	s.hits = s.reg.GaugeVec("vbs_fixture_hits", "constructor-time", "op")
 	s.reg.OnCollect(func() {})
 	return s
 }
 
 func newQuiet(reg *metrics.Registry) {
-	reg.CounterVec("vbs_fixture_ops_total", "constructor-time", "op")
+	reg.CounterFunc("vbs_fixture_ops_total", "constructor-time", func() float64 { return 0 })
 }
 
 func RegisterExtra(reg *metrics.Registry) {
@@ -36,8 +36,8 @@ func RegisterExtra(reg *metrics.Registry) {
 }
 
 func (s *subsystem) handleRequest() {
-	s.hits.Inc()                                                    // observing is fine anywhere
-	s.reg.Counter("vbs_fixture_lazy_total", "per-request")          // want `metrics\.Registry\.Counter called in handleRequest`
+	s.hits.With("get").Set(1)                                       // observing is fine anywhere
+	s.reg.CounterFunc("vbs_fixture_lazy_total", "per-request", nil) // want `metrics\.Registry\.CounterFunc called in handleRequest`
 	s.reg.GaugeFunc("vbs_fixture_lazy", "per-request", nil)         // want `metrics\.Registry\.GaugeFunc called in handleRequest`
 	s.reg.Histogram("vbs_fixture_lazy_seconds", "per-request", nil) // want `metrics\.Registry\.Histogram called in handleRequest`
 	s.reg.OnCollect(func() {})                                      // want `metrics\.Registry\.OnCollect called in handleRequest`
@@ -45,6 +45,6 @@ func (s *subsystem) handleRequest() {
 
 func sweep(reg *metrics.Registry) {
 	func() {
-		reg.Gauge("vbs_fixture_closure", "closures inherit the enclosing decl") // want `metrics\.Registry\.Gauge called in sweep`
+		reg.GaugeVec("vbs_fixture_closure", "closures inherit the enclosing decl") // want `metrics\.Registry\.GaugeVec called in sweep`
 	}()
 }

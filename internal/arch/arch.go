@@ -34,11 +34,7 @@
 // (x,y) as the InW(t) and InS(t) conductors.
 package arch
 
-import (
-	"fmt"
-
-	"repro/internal/bits"
-)
+import "fmt"
 
 // Params describes one architecture instance. The zero value is not
 // valid; use Validate (or New) before relying on derived quantities.
@@ -95,23 +91,6 @@ func (p Params) NRaw() int {
 // 4W + L + 1 (code 0 is the null endpoint).
 func (p Params) NumIOCodes() int { return 4*p.W + p.L() + 1 }
 
-// MBits returns M = ceil(log2(4W+L+1)), the width of one connection
-// endpoint in the Virtual Bit-Stream.
-func (p Params) MBits() int { return bits.CeilLog2(p.NumIOCodes()) }
-
-// RouteCountBits returns ceil(log2(2W)), the width of the per-macro
-// route-count field (Table I).
-func (p Params) RouteCountBits() int { return bits.CeilLog2(2 * p.W) }
-
-// MaxRoutes returns the largest route count representable in the
-// route-count field; macros needing more fall back to raw coding.
-func (p Params) MaxRoutes() int { return 1<<uint(p.RouteCountBits()) - 1 }
-
-// BreakEven returns floor(Nraw / 2M): the number of coded connections at
-// which the VBS coding of a macro stops being smaller than raw coding
-// (28 for the W=5 example in Section II-B).
-func (p Params) BreakEven() int { return p.NRaw() / (2 * p.MBits()) }
-
 // PinsOnChanX returns how many of the L pins tap the horizontal channel;
 // the remaining pins tap the vertical channel.
 func (p Params) PinsOnChanX() int { return (p.L() + 1) / 2 }
@@ -143,20 +122,6 @@ func (s Side) String() string {
 		return fmt.Sprintf("Side(%d)", int(s))
 	}
 	return sideNames[s]
-}
-
-// Opposite returns the facing side (West<->East, South<->North).
-func (s Side) Opposite() Side {
-	switch s {
-	case West:
-		return East
-	case East:
-		return West
-	case South:
-		return North
-	default:
-		return South
-	}
 }
 
 // Cond identifies one electrical conductor inside a macro.

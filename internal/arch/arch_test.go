@@ -3,7 +3,6 @@ package arch
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/bits"
 )
@@ -37,10 +36,11 @@ func TestEq1PaperExample(t *testing.T) {
 	if got := p.NumIOCodes(); got != 28 {
 		t.Errorf("I/O codes = %d, want 28", got)
 	}
-	if got := p.MBits(); got != 5 {
+	if got := bits.CeilLog2(p.NumIOCodes()); got != 5 {
 		t.Errorf("M = %d, want 5", got)
 	}
-	if got := p.BreakEven(); got != 28 {
+	// Break-even: floor(Nraw / 2M) coded connections.
+	if got := p.NRaw() / (2 * bits.CeilLog2(p.NumIOCodes())); got != 28 {
 		t.Errorf("break-even = %d, want 28", got)
 	}
 }
@@ -52,7 +52,7 @@ func TestEq1Normalized(t *testing.T) {
 	if got := p.NRaw(); got != 1004 {
 		t.Errorf("Nraw(W=20) = %d, want 1004", got)
 	}
-	if got := p.MBits(); got != 7 {
+	if got := bits.CeilLog2(p.NumIOCodes()); got != 7 {
 		t.Errorf("M(W=20) = %d, want 7", got)
 	}
 	if got := p.NumIOCodes(); got != 88 {
@@ -115,10 +115,6 @@ func TestCondNameAndSides(t *testing.T) {
 	}
 	if got := p.CondName(CondNone); got != "none" {
 		t.Errorf("CondName(none) = %q", got)
-	}
-	if West.Opposite() != East || East.Opposite() != West ||
-		North.Opposite() != South || South.Opposite() != North {
-		t.Error("Side.Opposite is wrong")
 	}
 	if West.String() != "W" || North.String() != "N" {
 		t.Error("Side.String is wrong")
@@ -242,7 +238,7 @@ func TestSwitchBoxPairsPerTrack(t *testing.T) {
 		ends := []Cond{p.CondInW(tr), p.CondInS(tr), p.CondHW(tr), p.CondVW(tr)}
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {
-				if p.SwitchBetween(ends[i], ends[j]) < 0 {
+				if switchBetween(p, ends[i], ends[j]) < 0 {
 					t.Errorf("track %d: no switch between %s and %s",
 						tr, p.CondName(ends[i]), p.CondName(ends[j]))
 				}
@@ -250,7 +246,7 @@ func TestSwitchBoxPairsPerTrack(t *testing.T) {
 		}
 		// No cross-track switch-box connections (disjoint topology).
 		if tr+1 < p.W {
-			if p.SwitchBetween(p.CondInW(tr), p.CondHW(tr+1)) >= 0 {
+			if switchBetween(p, p.CondInW(tr), p.CondHW(tr+1)) >= 0 {
 				t.Errorf("track %d connects to track %d through switch box", tr, tr+1)
 			}
 		}
@@ -267,8 +263,8 @@ func TestPinJunctions(t *testing.T) {
 	for pin := 0; pin < p.L(); pin++ {
 		pw := p.CondPin(pin)
 		for tr := 0; tr < p.W; tr++ {
-			onX := p.SwitchBetween(pw, p.CondHW(tr)) >= 0
-			onY := p.SwitchBetween(pw, p.CondVW(tr)) >= 0
+			onX := switchBetween(p, pw, p.CondHW(tr)) >= 0
+			onY := switchBetween(p, pw, p.CondVW(tr)) >= 0
 			if p.PinChannelIsX(pin) && (!onX || onY) {
 				t.Errorf("pin %d track %d: ChanX pin has onX=%v onY=%v", pin, tr, onX, onY)
 			}
@@ -368,9 +364,14 @@ func TestMacroConfigOnSwitches(t *testing.T) {
 	m := NewMacroConfig(p)
 	m.SetSwitch(3, true)
 	m.SetSwitch(17, true)
-	on := m.OnSwitches()
+	var on []int
+	for i := range p.Switches() {
+		if m.SwitchOn(i) {
+			on = append(on, i)
+		}
+	}
 	if len(on) != 2 || on[0] != 3 || on[1] != 17 {
-		t.Errorf("OnSwitches = %v, want [3 17]", on)
+		t.Errorf("switches on = %v, want [3 17]", on)
 	}
 }
 
@@ -408,70 +409,10 @@ func TestMacroConfigFromVec(t *testing.T) {
 	}
 }
 
-// TestComponents checks electrical component extraction: turning on a
-// path of switches merges exactly the conductors on the path.
-func TestComponents(t *testing.T) {
-	p := PaperExample()
-	m := NewMacroConfig(p)
-	// Connect InW(2) -SB-> HW(2) -junction-> PW0.
-	s1 := p.SwitchBetween(p.CondInW(2), p.CondHW(2))
-	s2 := p.SwitchBetween(p.CondPin(0), p.CondHW(2))
-	if s1 < 0 || s2 < 0 {
-		t.Fatal("expected switches not found")
-	}
-	m.SetSwitch(s1, true)
-	m.SetSwitch(s2, true)
-	comp := m.Components()
-	if comp[p.CondInW(2)] != comp[p.CondHW(2)] || comp[p.CondHW(2)] != comp[p.CondPin(0)] {
-		t.Error("path conductors not in one component")
-	}
-	if comp[p.CondInW(2)] == comp[p.CondInW(3)] {
-		t.Error("unrelated conductors merged")
-	}
-	// Root must be the smallest member index.
-	root := comp[p.CondPin(0)]
-	min := p.CondHW(2)
-	if root != min {
-		t.Errorf("component root = %s, want %s", p.CondName(root), p.CondName(min))
-	}
-}
-
-// Property: for random switch subsets, Components is a valid partition
-// refinement: two conductors directly joined by an on switch always
-// share a component.
-func TestQuickComponentsRespectSwitches(t *testing.T) {
-	p := Params{W: 4, K: 3}
-	f := func(mask uint64) bool {
-		m := NewMacroConfig(p)
-		sws := p.Switches()
-		for i := range sws {
-			if mask>>(uint(i)%64)&1 == 1 && (i%3 != 0) {
-				m.SetSwitch(i, true)
-			}
-		}
-		comp := m.Components()
-		for i, sw := range sws {
-			if m.SwitchOn(i) && comp[sw.A] != comp[sw.B] {
-				return false
-			}
-		}
-		// Roots must be canonical (smallest index in component).
-		for c, r := range comp {
-			if int(r) > c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // refCondUsed is the adjacency walk CondUsed replaced: conductor c is
 // used when any switch touching it reads on.
 func refCondUsed(m *MacroConfig, c Cond) bool {
-	for _, nb := range m.Params().Adjacency(c) {
+	for _, nb := range m.g.p.Adjacency(c) {
 		if m.SwitchOn(nb.Switch) {
 			return true
 		}
@@ -496,7 +437,7 @@ func TestCondUsedMatchesAdjacencyWalk(t *testing.T) {
 			case 0: // logic only
 			case 1: // a handful of whole switches
 				for n := rng.Intn(6) + 1; n > 0; n-- {
-					m.SetSwitch(rng.Intn(p.NumSwitches()), true)
+					m.SetSwitch(rng.Intn(len(p.Switches())), true)
 				}
 			case 2: // a handful of single raw routing bits
 				for n := rng.Intn(6) + 1; n > 0; n-- {
@@ -572,15 +513,13 @@ func BenchmarkBuildGraph(b *testing.B) {
 	}
 }
 
-func BenchmarkComponents(b *testing.B) {
-	p := Default()
-	m := NewMacroConfig(p)
-	for i := 0; i < p.NumSwitches(); i += 5 {
-		m.SetSwitch(i, true)
+// switchBetween returns the index of the switch joining a and b, or -1
+// if the two conductors are not directly connected.
+func switchBetween(p Params, a, b Cond) int {
+	for _, n := range p.Adjacency(a) {
+		if n.Cond == b {
+			return n.Switch
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Components()
-	}
+	return -1
 }

@@ -158,9 +158,6 @@ func (p Params) buildGraph() *graph {
 // The returned slice must not be modified.
 func (p Params) Switches() []Switch { return p.graph().switches }
 
-// NumSwitches returns the number of logical switches per macro.
-func (p Params) NumSwitches() int { return len(p.graph().switches) }
-
 // Adjacency returns the conductors reachable from c through a single
 // switch. The returned slice must not be modified.
 func (p Params) Adjacency(c Cond) []Neighbor {
@@ -168,17 +165,6 @@ func (p Params) Adjacency(c Cond) []Neighbor {
 		panic(fmt.Sprintf("arch: conductor %d out of range", c))
 	}
 	return p.graph().adj[c]
-}
-
-// SwitchBetween returns the index of the switch joining a and b, or -1
-// if the two conductors are not directly connected.
-func (p Params) SwitchBetween(a, b Cond) int {
-	for _, n := range p.Adjacency(a) {
-		if n.Cond == b {
-			return n.Switch
-		}
-	}
-	return -1
 }
 
 // MacroConfig is the raw configuration of one macro: NRaw bits in the
@@ -219,9 +205,6 @@ func MacroConfigFromVec(p Params, v *bits.Vec) (*MacroConfig, error) {
 	}
 	return &MacroConfig{g: p.graph(), vec: v}, nil
 }
-
-// Params returns the architecture this configuration belongs to.
-func (m *MacroConfig) Params() Params { return m.g.p }
 
 // Vec exposes the underlying bit vector (canonical layout).
 func (m *MacroConfig) Vec() *bits.Vec { return m.vec }
@@ -285,18 +268,6 @@ func (m *MacroConfig) KindUsed(k CondKind) bool {
 	return m.vec.Intersects(m.g.kindMask[k])
 }
 
-// OnSwitches returns the indices of all switches currently on, in
-// canonical order.
-func (m *MacroConfig) OnSwitches() []int {
-	var on []int
-	for i := range m.g.switches {
-		if m.SwitchOn(i) {
-			on = append(on, i)
-		}
-	}
-	return on
-}
-
 // RoutingBits copies the routing portion of the configuration (bits
 // NLB..NRaw) into a fresh vector of NRaw-NLB bits. This is the payload
 // stored verbatim by the VBS raw-fallback coding.
@@ -305,47 +276,6 @@ func (m *MacroConfig) RoutingBits() *bits.Vec {
 	out := bits.NewVec(n)
 	for i := 0; i < n; i++ {
 		out.Set(i, m.vec.Get(m.g.p.NLB()+i))
-	}
-	return out
-}
-
-// Components returns the partition of the macro's conductors into
-// electrically connected components induced by the on switches. Each
-// conductor is mapped to the smallest conductor index of its component;
-// isolated conductors map to themselves. This is the electrical
-// equivalence the de-virtualization feedback loop compares.
-func (m *MacroConfig) Components() []Cond {
-	n := m.g.p.NumConds()
-	parent := make([]Cond, n)
-	for i := range parent {
-		parent[i] = Cond(i)
-	}
-	var find func(Cond) Cond
-	find = func(c Cond) Cond {
-		for parent[c] != c {
-			parent[c] = parent[parent[c]]
-			c = parent[c]
-		}
-		return c
-	}
-	union := func(a, b Cond) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra // smaller index becomes the root
-	}
-	for i, sw := range m.g.switches {
-		if m.SwitchOn(i) {
-			union(sw.A, sw.B)
-		}
-	}
-	out := make([]Cond, n)
-	for i := range out {
-		out[i] = find(Cond(i))
 	}
 	return out
 }

@@ -17,19 +17,10 @@ import (
 // has fewer bits remaining than requested.
 var ErrOutOfBits = errors.New("bits: read past end of stream")
 
-// FieldWidth returns the number of bits needed to represent values in
-// [0, n-1], i.e. ceil(log2(n)). By convention FieldWidth(0) and
-// FieldWidth(1) are both 0: a field with a single possible value needs
-// no bits.
-func FieldWidth(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
 // CeilLog2 returns ceil(log2(n)) for n >= 1, the form used by the
-// paper's Table I field-size expressions. CeilLog2(1) == 0.
+// paper's Table I field-size expressions: the bits needed to represent
+// values in [0, n-1]. CeilLog2(0) and CeilLog2(1) are both 0: a field
+// with a single possible value needs no bits.
 func CeilLog2(n int) int {
 	if n <= 1 {
 		return 0
@@ -52,18 +43,9 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, (sizeHint+7)/8)}
 }
 
-// Len returns the number of bits written so far.
-func (w *Writer) Len() int { return w.nbit }
-
 // Bytes returns the packed bytes. The final byte is zero-padded in its
 // low-order bits. The returned slice aliases the writer's buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Reset clears the writer for reuse, retaining the allocated buffer.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.nbit = 0
-}
 
 // WriteBit appends a single bit.
 func (w *Writer) WriteBit(b bool) {
@@ -123,19 +105,6 @@ func NewReader(buf []byte) *Reader {
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.nbit - r.pos }
 
-// Pos returns the index of the next bit to be read.
-func (r *Reader) Pos() int { return r.pos }
-
-// ReadBit consumes one bit.
-func (r *Reader) ReadBit() (bool, error) {
-	if r.pos >= r.nbit {
-		return false, ErrOutOfBits
-	}
-	b := r.buf[r.pos/8]>>(7-uint(r.pos%8))&1 == 1
-	r.pos++
-	return b, nil
-}
-
 // ReadUint consumes width bits and returns them as an unsigned value.
 func (r *Reader) ReadUint(width int) (uint64, error) {
 	if width < 0 || width > 64 {
@@ -157,9 +126,6 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 	}
 	return v, nil
 }
-
-// ReadBool consumes a single-bit flag.
-func (r *Reader) ReadBool() (bool, error) { return r.ReadBit() }
 
 // Skip consumes n bits without decoding them.
 func (r *Reader) Skip(n int) error {
@@ -192,13 +158,6 @@ func (r *Reader) ReadInto(v *Vec) error {
 		v.words[i] = bits.Reverse64(f) >> uint(64-n)
 	}
 	return nil
-}
-
-// Align skips forward to the next byte boundary.
-func (r *Reader) Align() {
-	for r.pos%8 != 0 && r.pos < r.nbit {
-		r.pos++
-	}
 }
 
 // Vec is a fixed-length bit vector. Bit 0 is the first configuration

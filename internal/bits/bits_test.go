@@ -12,8 +12,8 @@ func TestFieldWidth(t *testing.T) {
 		{16, 4}, {17, 5}, {28, 5}, {40, 6}, {88, 7}, {256, 8}, {257, 9},
 	}
 	for _, c := range cases {
-		if got := FieldWidth(c.n); got != c.want {
-			t.Errorf("FieldWidth(%d) = %d, want %d", c.n, got, c.want)
+		if got := CeilLog2(c.n); got != c.want {
+			t.Errorf("CeilLog2(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }
@@ -35,16 +35,16 @@ func TestWriterSingleBits(t *testing.T) {
 	for _, b := range pattern {
 		w.WriteBit(b)
 	}
-	if w.Len() != len(pattern) {
-		t.Fatalf("Len = %d, want %d", w.Len(), len(pattern))
+	if w.nbit != len(pattern) {
+		t.Fatalf("Len = %d, want %d", w.nbit, len(pattern))
 	}
 	r := NewReader(w.Bytes())
 	for i, want := range pattern {
-		got, err := r.ReadBit()
+		got, err := r.ReadUint(1)
 		if err != nil {
-			t.Fatalf("ReadBit(%d): %v", i, err)
+			t.Fatalf("ReadUint(1) at bit %d: %v", i, err)
 		}
-		if got != want {
+		if (got == 1) != want {
 			t.Errorf("bit %d = %v, want %v", i, got, want)
 		}
 	}
@@ -99,9 +99,6 @@ func TestReaderOutOfBits(t *testing.T) {
 	if _, err := r.ReadUint(8); err != nil {
 		t.Fatalf("ReadUint(8): %v", err)
 	}
-	if _, err := r.ReadBit(); err != ErrOutOfBits {
-		t.Errorf("ReadBit past end: err = %v, want ErrOutOfBits", err)
-	}
 	if _, err := r.ReadUint(1); err != ErrOutOfBits {
 		t.Errorf("ReadUint past end: err = %v, want ErrOutOfBits", err)
 	}
@@ -124,35 +121,23 @@ func TestAlign(t *testing.T) {
 	var w Writer
 	w.WriteUint(3, 3)
 	w.Align()
-	if w.Len() != 8 {
-		t.Fatalf("Len after align = %d, want 8", w.Len())
+	if w.nbit != 8 {
+		t.Fatalf("Len after align = %d, want 8", w.nbit)
 	}
 	w.WriteUint(0xab, 8)
 	r := NewReader(w.Bytes())
 	if _, err := r.ReadUint(3); err != nil {
 		t.Fatal(err)
 	}
-	r.Align()
+	if err := r.Skip(5); err != nil { // the pad to the byte boundary
+		t.Fatal(err)
+	}
 	got, err := r.ReadUint(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 0xab {
 		t.Errorf("post-align byte = %#x, want 0xab", got)
-	}
-}
-
-func TestWriterReset(t *testing.T) {
-	var w Writer
-	w.WriteUint(0xffff, 16)
-	w.Reset()
-	if w.Len() != 0 || len(w.Bytes()) != 0 {
-		t.Fatal("Reset did not clear writer")
-	}
-	w.WriteUint(5, 4)
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadUint(4); v != 5 {
-		t.Errorf("after reset read %d, want 5", v)
 	}
 }
 
@@ -266,8 +251,8 @@ func TestWriteVecRoundTrip(t *testing.T) {
 	}
 	var w Writer
 	w.WriteVec(v)
-	if w.Len() != 19 {
-		t.Fatalf("Len = %d", w.Len())
+	if w.nbit != 19 {
+		t.Fatalf("Len = %d", w.nbit)
 	}
 	r := NewReader(w.Bytes())
 	got, err := r.ReadVec(19)
@@ -352,8 +337,8 @@ func BenchmarkWriterUint(b *testing.B) {
 	w := NewWriter(1 << 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if w.Len() > 1<<16 {
-			w.Reset()
+		if w.nbit > 1<<16 {
+			w.buf, w.nbit = w.buf[:0], 0
 		}
 		w.WriteUint(uint64(i)&0x7f, 7)
 	}

@@ -113,7 +113,7 @@ func TestVerifyDetectsShort(t *testing.T) {
 	// their pin wires to wires until components merge. Simplest robust
 	// short: turn on every switch everywhere.
 	for _, cfg := range f.raw.Configs {
-		for si := 0; si < f.raw.P.NumSwitches(); si++ {
+		for si := 0; si < len(f.raw.P.Switches()); si++ {
 			cfg.SetSwitch(si, true)
 		}
 	}

@@ -138,7 +138,7 @@ func (f *Fleet) startGateway(ctx context.Context, probe time.Duration) error {
 	f.Gateway = gw
 	f.URL = "http://" + ln.Addr().String()
 	f.Client = server.NewClient(f.URL, nil)
-	f.Admin = cluster.NewAdmin(f.URL, nil)
+	f.Admin = cluster.NewAdmin(f.URL)
 	f.gwServer = &http.Server{Handler: gw.Handler()}
 	f.gwErr = make(chan error, 1)
 	go func() { f.gwErr <- f.gwServer.Serve(ln) }()

@@ -17,9 +17,8 @@ type Admin struct {
 }
 
 // NewAdmin targets a gateway at base (e.g. "http://localhost:8930").
-// httpClient may be nil for http.DefaultClient.
-func NewAdmin(base string, httpClient *http.Client) *Admin {
-	return &Admin{c: server.NewClient(base, httpClient)}
+func NewAdmin(base string) *Admin {
+	return &Admin{c: server.NewClient(base, nil)}
 }
 
 // Nodes lists the membership table.

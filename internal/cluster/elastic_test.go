@@ -28,7 +28,7 @@ func newElasticCluster(t *testing.T, n int, opts cluster.Options) (*server.Clien
 		opts.RebalanceInterval = 50 * time.Millisecond
 	}
 	cl, gw := startGateway(t, nodes, opts)
-	return cl, cluster.NewAdmin(cl.Base(), nil), gw, nodes
+	return cl, cluster.NewAdmin(cl.Base()), gw, nodes
 }
 
 // TestAdminErrorsCarryStatus: admin replies share server.Client's

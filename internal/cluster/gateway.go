@@ -37,13 +37,6 @@ type Options struct {
 	// Loads pay a decode on the node, so this is deliberately looser
 	// than the probe timeout.
 	HopTimeout time.Duration
-	// MaxBodyBytes bounds JSON request bodies at the gateway exactly
-	// like server.Options.MaxBodyBytes (0 = server default bound,
-	// negative = unbounded).
-	MaxBodyBytes int64
-	// HTTPClient is used for every node call (nil =
-	// http.DefaultClient).
-	HTTPClient *http.Client
 	// RetryAttempts is the total tries per idempotent hop (GET, HEAD,
 	// probe, replication copy) before the caller fails over; 0 selects
 	// 3, 1 disables retries. Non-idempotent ops (loads) never retry a
@@ -84,7 +77,6 @@ type Gateway struct {
 	transport *transport.Metrics
 	replicas  int
 	hop       time.Duration
-	maxBody   int64
 	start     time.Time
 
 	retryAttempts int
@@ -137,10 +129,6 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 	if opts.HopTimeout <= 0 {
 		opts.HopTimeout = 15 * time.Second
 	}
-	maxBody := opts.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = server.DefaultMaxBodyBytes
-	}
 	if opts.RetryAttempts == 0 {
 		opts.RetryAttempts = defaultRetryAttempts
 	}
@@ -154,10 +142,9 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 		opts.RebalanceInterval = time.Minute
 	}
 	g := &Gateway{
-		reg:           NewRegistry(nodes, opts.HTTPClient, opts.ProbeInterval, opts.ProbeTimeout),
+		reg:           NewRegistry(nodes, opts.ProbeInterval, opts.ProbeTimeout),
 		replicas:      opts.Replicas,
 		hop:           opts.HopTimeout,
-		maxBody:       maxBody,
 		start:         time.Now(),
 		retryAttempts: opts.RetryAttempts,
 		retryBase:     opts.RetryBackoff,
@@ -182,14 +169,8 @@ func (g *Gateway) curRing() *Ring { return g.ring.Load() }
 // Ring exposes the current routing ring (read-only).
 func (g *Gateway) Ring() *Ring { return g.curRing() }
 
-// Registry exposes the node health registry.
-func (g *Gateway) Registry() *Registry { return g.reg }
-
 // Rebalancer exposes the background rebalancer.
 func (g *Gateway) Rebalancer() *Rebalancer { return g.reb }
-
-// Jobs exposes the gateway's background job table.
-func (g *Gateway) Jobs() *jobs.Table { return g.jobs }
 
 // Start probes every node once (so the first request sees real
 // states) and launches the background probe and rebalance loops.
@@ -266,7 +247,7 @@ func writeUpstream(w http.ResponseWriter, err error) {
 }
 
 func (g *Gateway) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return server.DecodeJSONBody(w, r, g.maxBody, v)
+	return server.DecodeJSONBody(w, r, server.DefaultMaxBodyBytes, v)
 }
 
 func (g *Gateway) hopCtx(r *http.Request) (context.Context, context.CancelFunc) {
@@ -1246,12 +1227,13 @@ type ClusterStats struct {
 	Rebalance RebalanceStats `json:"rebalance"`
 }
 
-// StatsResponse is the gateway's GET /stats body: the single-daemon
-// fields summed over the fleet, plus the cluster block. A plain
-// server.Client decodes the embedded part untouched.
+// StatsResponse is the gateway's GET /stats body: its uptime and the
+// cluster block. Fleet totals live on each node's /stats and /metrics
+// and in the gateway's merged /fabrics; the gateway does not re-sum
+// them.
 type StatsResponse struct {
-	server.StatsResponse
-	Cluster ClusterStats `json:"cluster"`
+	UptimeSeconds float64      `json:"uptime_seconds"`
+	Cluster       ClusterStats `json:"cluster"`
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1265,11 +1247,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			byNode[res[i].node] = &res[i].val
 		}
 	}
-	topo, _ := g.topology(r.Context())
 
-	var out StatsResponse
-	out.UptimeSeconds = time.Since(g.start).Seconds()
-	var meanNumer float64
+	out := StatsResponse{UptimeSeconds: time.Since(g.start).Seconds()}
 	draining := g.drainingSet()
 	for _, info := range g.reg.Snapshot() {
 		ns := NodeStats{NodeInfo: info, Mode: "active"}
@@ -1284,50 +1263,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			ns.Loads = st.Loads
 			for _, f := range st.Fabrics {
 				ns.FreeMacros += f.FreeMacros
-				f.Node = info.Name
-				if gi := globalFabric(topo, info.Name, f.Index); gi >= 0 {
-					f.Index = gi
-				}
-				out.Fabrics = append(out.Fabrics, f)
 			}
-			out.Tasks += st.Tasks
-			out.Loads += st.Loads
-			out.Unloads += st.Unloads
-			out.Relocations += st.Relocations
-			out.Decodes += st.Decodes
-			out.LoadLatency.Count += st.LoadLatency.Count
-			meanNumer += st.LoadLatency.MeanMS * float64(st.LoadLatency.Count)
-			if st.LoadLatency.MaxMS > out.LoadLatency.MaxMS {
-				out.LoadLatency.MaxMS = st.LoadLatency.MaxMS
-			}
-			if out.Placement.Policy == "" {
-				out.Placement.Policy = st.Placement.Policy
-			}
-			out.Placement.Compactions += st.Placement.Compactions
-			out.Placement.TasksMoved += st.Placement.TasksMoved
-			out.Placement.RetrySuccesses += st.Placement.RetrySuccesses
-			out.Cache.Hits += st.Cache.Hits
-			out.Cache.Misses += st.Cache.Misses
-			out.Cache.Evictions += st.Cache.Evictions
-			out.Cache.Entries += st.Cache.Entries
-			out.Cache.UsedBits += st.Cache.UsedBits
-			out.Cache.CapBits += st.Cache.CapBits
-			out.Store.Entries += st.Store.Entries
-			out.Store.Bytes += st.Store.Bytes
-			out.Repo.Enabled = out.Repo.Enabled || st.Repo.Enabled
-			out.Repo.Blobs += st.Repo.Blobs
-			out.Repo.Bytes += st.Repo.Bytes
-			out.Repo.Demotions += st.Repo.Demotions
-			out.Repo.Promotions += st.Repo.Promotions
-			out.Repo.Recovered += st.Repo.Recovered
-			out.Repo.Quarantined += st.Repo.Quarantined
-			out.Repo.Reads += st.Repo.Reads
-			out.Repo.Writes += st.Repo.Writes
 		}
 		out.Cluster.Nodes = append(out.Cluster.Nodes, ns)
-	}
-	if out.LoadLatency.Count > 0 {
-		out.LoadLatency.MeanMS = meanNumer / float64(out.LoadLatency.Count)
 	}
 	g.mu.Lock()
 	out.Cluster.GatewayTasks = len(g.tasks)

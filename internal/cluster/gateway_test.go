@@ -282,6 +282,38 @@ func TestGatewayReadRepair(t *testing.T) {
 	}
 }
 
+// TestGatewayMaxBodyBytes: the gateway bounds JSON bodies exactly like
+// a daemon: one byte past server.DefaultMaxBodyBytes is a 413 before
+// any node is called. The body is generated as it streams.
+func TestGatewayMaxBodyBytes(t *testing.T) {
+	cl, _, _ := newCluster(t, 1, 1, cluster.Options{Replicas: 1})
+
+	head, tail := `{"vbs":"`, `"}`
+	fill := server.DefaultMaxBodyBytes + 1 - int64(len(head)+len(tail))
+	body := io.MultiReader(strings.NewReader(head), io.LimitReader(fillReader('A'), fill), strings.NewReader(tail))
+	resp, err := http.Post(cl.Base()+"/tasks", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if _, err := cl.Load(t.Context(), makeVBS(t, 5, 6), server.LoadRequest{}); err != nil {
+		t.Fatalf("in-bound load: %v", err)
+	}
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
 // TestGatewayListVBSMergesReplicas: the merged blob listing reports
 // one row per digest with a replica count.
 func TestGatewayListVBSMergesReplicas(t *testing.T) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +77,6 @@ type Registry struct {
 	nodes  []*node          // in configured order
 	byName map[string]*node // name -> entry
 
-	hc    *http.Client  // client constructor input for Add
 	probe time.Duration // probe interval
 	tmo   time.Duration // per-probe timeout
 
@@ -97,9 +95,9 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry over node base URLs in the given
-// order (the order defines fleet-global fabric indexing). hc may be
-// nil for http.DefaultClient. interval/timeout <= 0 select 2s/1s.
-func NewRegistry(names []string, hc *http.Client, interval, timeout time.Duration) *Registry {
+// order (the order defines fleet-global fabric indexing).
+// interval/timeout <= 0 select 2s/1s.
+func NewRegistry(names []string, interval, timeout time.Duration) *Registry {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
@@ -108,7 +106,6 @@ func NewRegistry(names []string, hc *http.Client, interval, timeout time.Duratio
 	}
 	r := &Registry{
 		byName:        make(map[string]*node, len(names)),
-		hc:            hc,
 		probe:         interval,
 		tmo:           timeout,
 		retryAttempts: 1,
@@ -119,7 +116,7 @@ func NewRegistry(names []string, hc *http.Client, interval, timeout time.Duratio
 		if _, dup := r.byName[n]; dup {
 			continue
 		}
-		e := &node{name: n, client: server.NewClient(n, hc)}
+		e := &node{name: n, client: server.NewClient(n, nil)}
 		r.nodes = append(r.nodes, e)
 		r.byName[n] = e
 	}
@@ -154,7 +151,7 @@ func (r *Registry) Add(name string) bool {
 	if _, dup := r.byName[name]; dup {
 		return false
 	}
-	e := &node{name: name, client: server.NewClient(name, r.hc)}
+	e := &node{name: name, client: server.NewClient(name, nil)}
 	r.nodes = append(r.nodes, e)
 	r.byName[name] = e
 	return true

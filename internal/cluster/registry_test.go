@@ -17,7 +17,7 @@ import (
 // against a real daemon that we kill and replace.
 func TestRegistryStateMachine(t *testing.T) {
 	n := newNode(t, 1, server.Options{})
-	reg := cluster.NewRegistry([]string{n.url}, nil, time.Hour, time.Second)
+	reg := cluster.NewRegistry([]string{n.url}, time.Hour, time.Second)
 
 	ctx := t.Context()
 	reg.ProbeAll(ctx)
@@ -52,7 +52,7 @@ func TestRegistryStateMachine(t *testing.T) {
 // exchange revives.
 func TestRegistryRequestPathDemotion(t *testing.T) {
 	n := newNode(t, 1, server.Options{})
-	reg := cluster.NewRegistry([]string{n.url}, nil, time.Hour, time.Second)
+	reg := cluster.NewRegistry([]string{n.url}, time.Hour, time.Second)
 	reg.ProbeAll(t.Context())
 
 	err := errors.New("connection refused")
@@ -80,7 +80,7 @@ func TestRegistryRequestPathDemotion(t *testing.T) {
 // (the CI race matrix runs it).
 func TestRegistryConcurrentAddRemove(t *testing.T) {
 	n := newNode(t, 1, server.Options{})
-	reg := cluster.NewRegistry([]string{n.url}, nil, time.Hour, 50*time.Millisecond)
+	reg := cluster.NewRegistry([]string{n.url}, time.Hour, 50*time.Millisecond)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -138,7 +138,7 @@ func TestRegistryConcurrentAddRemove(t *testing.T) {
 // down without any request traffic.
 func TestRegistryProbeLoop(t *testing.T) {
 	n := newNode(t, 1, server.Options{})
-	reg := cluster.NewRegistry([]string{n.url}, nil, 20*time.Millisecond, time.Second)
+	reg := cluster.NewRegistry([]string{n.url}, 20*time.Millisecond, time.Second)
 	reg.ProbeAll(t.Context())
 	reg.Start()
 	defer reg.Stop()

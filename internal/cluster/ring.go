@@ -101,10 +101,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring membership in sorted order. The slice is
-// shared; callers must not mutate it.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Has reports whether a node is on the ring.
 func (r *Ring) Has(name string) bool {
 	i := sort.SearchStrings(r.nodes, name)

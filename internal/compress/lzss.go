@@ -169,12 +169,3 @@ func DecompressLZSS(data []byte) ([]byte, error) {
 	}
 	return out[:size], nil
 }
-
-// Ratio returns compressed size over original size for the given
-// payload (1.0 means no compression).
-func Ratio(data []byte) float64 {
-	if len(data) == 0 {
-		return 1
-	}
-	return float64(len(CompressLZSS(data))) / float64(len(data))
-}

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -133,8 +132,6 @@ type Controller struct {
 	loads       atomic.Uint64
 	unloads     atomic.Uint64
 	relocations atomic.Uint64
-	decodes     atomic.Uint64
-	decodeNanos atomic.Int64
 }
 
 // Task records a loaded hardware task.
@@ -161,15 +158,10 @@ type Stats struct {
 	Loads       uint64 `json:"loads"`
 	Unloads     uint64 `json:"unloads"`
 	Relocations uint64 `json:"relocations"`
-	// Decodes counts full VBS de-virtualizations performed by this
-	// controller (cache hits upstream never reach this counter).
-	Decodes uint64 `json:"decodes"`
-	// DecodeTime is the cumulative wall time spent decoding.
-	DecodeTime time.Duration `json:"decode_ns"`
 }
 
-// New returns a controller decoding with the given worker count
-// (0 selects GOMAXPROCS).
+// New returns a controller whose Load decodes with the given worker
+// count (0 selects GOMAXPROCS).
 func New(f *fabric.Fabric, workers int) *Controller {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -181,13 +173,6 @@ func New(f *fabric.Fabric, workers int) *Controller {
 // directly while the controller is in concurrent use must provide
 // their own synchronization.
 func (c *Controller) Fabric() *fabric.Fabric { return c.fab }
-
-// Tasks returns the number of loaded tasks.
-func (c *Controller) Tasks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tasks)
-}
 
 // Task returns a loaded task by id.
 func (c *Controller) Task(id fabric.TaskID) (*Task, bool) {
@@ -212,55 +197,26 @@ func (c *Controller) Stats() Stats {
 		Loads:       c.loads.Load(),
 		Unloads:     c.unloads.Load(),
 		Relocations: c.relocations.Load(),
-		Decodes:     c.decodes.Load(),
-		DecodeTime:  time.Duration(c.decodeNanos.Load()),
 	}
 }
 
-// Decode de-virtualizes a VBS with this controller's worker pool,
-// updating the decode counters. The result is fabric-independent.
-func (c *Controller) Decode(v *core.VBS) (*Decoded, error) {
-	start := time.Now()
+// Load decodes the task with this controller's worker pool and places
+// it at the first position where it fits without seam conflicts.
+func (c *Controller) Load(v *core.VBS) (*Task, error) {
 	d, err := DecodeVBS(v, c.workers)
 	if err != nil {
 		return nil, err
 	}
-	c.decodes.Add(1)
-	c.decodeNanos.Add(int64(time.Since(start)))
-	return d, nil
-}
-
-// Load decodes the task and places it at the first position where it
-// fits without seam conflicts, returning its id and position.
-func (c *Controller) Load(v *core.VBS) (*Task, error) {
-	d, err := c.Decode(v)
-	if err != nil {
-		return nil, err
-	}
-	return c.LoadDecoded(d)
-}
-
-// LoadAt decodes the task and places it at an explicit position.
-func (c *Controller) LoadAt(v *core.VBS, x0, y0 int) (*Task, error) {
-	d, err := c.Decode(v)
-	if err != nil {
-		return nil, err
-	}
-	return c.LoadDecodedAt(d, x0, y0)
-}
-
-// LoadDecoded places an already-decoded task at the first conflict-free
-// position. This is the cache-hit load path: no de-virtualization runs.
-func (c *Controller) LoadDecoded(d *Decoded) (*Task, error) {
-	return c.LoadDecodedPolicy(d, sched.FirstFit())
+	return c.LoadDecodedPolicy(d, nil)
 }
 
 // LoadDecodedPolicy places an already-decoded task at the position the
-// policy selects. Candidate positions are evaluated with the dry-run
-// admission check (overlap + seam analysis against the candidate
-// decode), so a rejected position never touches the fabric; only the
-// one committed slot is written, and it is still verified
-// write-then-check like every load.
+// policy selects (nil selects first fit). This is the cache-hit load
+// path: no de-virtualization runs. Candidate positions are evaluated
+// with the dry-run admission check (overlap + seam analysis against
+// the candidate decode), so a rejected position never touches the
+// fabric; only the one committed slot is written, and it is still
+// verified write-then-check like every load.
 func (c *Controller) LoadDecodedPolicy(d *Decoded, p sched.Policy) (*Task, error) {
 	if err := c.checkArch(d.VBS); err != nil {
 		return nil, err
@@ -278,36 +234,13 @@ func (c *Controller) LoadDecodedPolicy(d *Decoded, p sched.Policy) (*Task, error
 	return c.loadDecodedAtLocked(d, x, y)
 }
 
-// CanPlace is the dry-run admission check: it reports whether the
-// decoded task could be committed at (x0, y0) — region inside the
-// fabric, no overlap with other tasks, no seam conflicts with the
-// candidate decode — without mutating the fabric configuration.
-func (c *Controller) CanPlace(d *Decoded, x0, y0 int) error {
-	if err := c.checkArch(d.VBS); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.canPlaceLocked(d, x0, y0, c.nextID)
-}
-
-// canPlaceLocked evaluates admission at (x0, y0) for the task id `as`
-// (the relocating task's id, or the prospective id of a new load).
-// Callers hold c.mu.
-func (c *Controller) canPlaceLocked(d *Decoded, x0, y0 int, as fabric.TaskID) error {
-	v := d.VBS
-	if err := c.fab.CheckRect(x0, y0, v.TaskW, v.TaskH, as); err != nil {
-		return err
-	}
-	if conflicts := c.fab.CandidateSeamConflicts(as, x0, y0, v.TaskW, v.TaskH, d.ConfigAt); len(conflicts) > 0 {
-		return fmt.Errorf("controller: seam conflicts at (%d,%d): %s", x0, y0, conflicts[0])
-	}
-	return nil
-}
-
-// fitsLocked is canPlaceLocked as an allocation-free predicate: the
-// form placement scans use when probing hundreds of positions, where
-// building rejection messages would dominate. Callers hold c.mu.
+// fitsLocked is the dry-run admission check: it reports whether the
+// decoded task could be committed at (x0, y0) for the task id `as`
+// (the relocating task's id, or the prospective id of a new load) —
+// region inside the fabric, no overlap with other tasks, no seam
+// conflicts with the candidate decode — without mutating the fabric.
+// It builds no rejection messages, so placement scans can probe
+// hundreds of positions cheaply. Callers hold c.mu.
 func (c *Controller) fitsLocked(d *Decoded, x0, y0 int, as fabric.TaskID) bool {
 	v := d.VBS
 	return c.fab.FitsRect(x0, y0, v.TaskW, v.TaskH, as) &&

@@ -63,6 +63,23 @@ func makeTask(t testing.TB, seed int64, nLB, size, w, cluster int) *core.VBS {
 	return v
 }
 
+// loadAt decodes v with c's worker pool and places it at (x0, y0).
+func loadAt(c *Controller, v *core.VBS, x0, y0 int) (*Task, error) {
+	d, err := DecodeVBS(v, c.workers)
+	if err != nil {
+		return nil, err
+	}
+	return c.LoadDecodedAt(d, x0, y0)
+}
+
+// canPlace runs the dry-run admission check the placement policies
+// probe, for the prospective id of a new load.
+func canPlace(c *Controller, d *Decoded, x0, y0 int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fitsLocked(d, x0, y0, c.nextID)
+}
+
 func newController(t testing.TB, gridW, gridH, w, workers int) *Controller {
 	t.Helper()
 	f, err := fabric.New(arch.Params{W: w, K: 6}, arch.Grid{Width: gridW, Height: gridH})
@@ -79,8 +96,8 @@ func TestLoadUnload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Tasks() != 1 {
-		t.Errorf("Tasks = %d", c.Tasks())
+	if c.Stats().Tasks != 1 {
+		t.Errorf("Tasks = %d", c.Stats().Tasks)
 	}
 	if _, ok := c.Task(task.ID); !ok {
 		t.Error("task not retrievable")
@@ -101,7 +118,7 @@ func TestLoadUnload(t *testing.T) {
 	if err := c.Unload(task.ID); err != nil {
 		t.Fatal(err)
 	}
-	if c.Tasks() != 0 || c.Fabric().FreeMacros() != 16*16 {
+	if c.Stats().Tasks != 0 || c.Fabric().FreeMacros() != 16*16 {
 		t.Error("unload incomplete")
 	}
 	if err := c.Unload(task.ID); err == nil {
@@ -121,8 +138,8 @@ func TestMultiTask(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	if c.Tasks() != 3 {
-		t.Fatalf("Tasks = %d", c.Tasks())
+	if c.Stats().Tasks != 3 {
+		t.Fatalf("Tasks = %d", c.Stats().Tasks)
 	}
 	for i, a := range tasks {
 		for _, b := range tasks[i+1:] {
@@ -145,7 +162,7 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 7} {
 		c := newController(t, v.TaskW, v.TaskH, 8, workers)
-		task, err := c.LoadAt(v, 0, 0)
+		task, err := loadAt(c, v, 0, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -167,7 +184,7 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 func TestRelocate(t *testing.T) {
 	v := makeTask(t, 5, 12, 4, 8, 1)
 	c := newController(t, 20, 20, 8, 2)
-	task, err := c.LoadAt(v, 0, 0)
+	task, err := loadAt(c, v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +222,12 @@ func TestRelocate(t *testing.T) {
 func TestRelocateFailureRestores(t *testing.T) {
 	v := makeTask(t, 6, 10, 4, 8, 1)
 	c := newController(t, 14, 14, 8, 2)
-	task, err := c.LoadAt(v, 0, 0)
+	task, err := loadAt(c, v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blocker := makeTask(t, 7, 8, 4, 8, 1)
-	if _, err := c.LoadAt(blocker, 7, 7); err != nil {
+	if _, err := loadAt(c, blocker, 7, 7); err != nil {
 		t.Fatal(err)
 	}
 	// Target overlaps the blocker: relocation must fail and restore.
@@ -260,14 +277,14 @@ func BenchmarkParallelDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(v); err != nil {
+		if _, err := DecodeVBS(v, c.workers); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestLoadDecodedSkipsDecode: the cache-hit path must not touch the
-// decode counters, and a shared Decoded must load on several fabrics.
+// TestLoadDecodedSkipsDecode: a shared Decoded must load on several
+// fabrics, each a bit-exact copy of the reference decode.
 func TestLoadDecodedSkipsDecode(t *testing.T) {
 	v := makeTask(t, 12, 10, 4, 8, 1)
 	d, err := DecodeVBS(v, 2)
@@ -295,9 +312,6 @@ func TestLoadDecodedSkipsDecode(t *testing.T) {
 			}
 		}
 		st := c.Stats()
-		if st.Decodes != 0 {
-			t.Errorf("fabric %d: Decodes = %d after decoded load", fi, st.Decodes)
-		}
 		if st.Loads != 1 || st.Tasks != 1 {
 			t.Errorf("fabric %d: Loads = %d, Tasks = %d", fi, st.Loads, st.Tasks)
 		}
@@ -305,25 +319,26 @@ func TestLoadDecodedSkipsDecode(t *testing.T) {
 	}
 }
 
-// TestRelocateReusesDecode: relocation must not re-decode.
+// TestRelocateReusesDecode: relocation must not re-decode: the task
+// keeps the very Decoded it was loaded from.
 func TestRelocateReusesDecode(t *testing.T) {
 	v := makeTask(t, 13, 10, 4, 8, 1)
 	c := newController(t, 20, 20, 8, 2)
-	task, err := c.LoadAt(v, 0, 0)
+	d, err := DecodeVBS(v, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().Decodes; got != 1 {
-		t.Fatalf("Decodes = %d after load", got)
+	task, err := c.LoadDecodedAt(d, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Relocate(task.ID, 8, 8); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Decodes != 1 {
-		t.Errorf("Decodes = %d after relocation, want 1", st.Decodes)
+	if task.dec != d {
+		t.Error("relocation replaced the task's Decoded: it re-decoded")
 	}
-	if st.Relocations != 1 {
+	if st := c.Stats(); st.Relocations != 1 {
 		t.Errorf("Relocations = %d", st.Relocations)
 	}
 }
@@ -349,7 +364,7 @@ func TestConcurrentOps(t *testing.T) {
 		go func(d *Decoded) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
-				task, err := c.LoadDecoded(d)
+				task, err := c.LoadDecodedPolicy(d, nil)
 				if err != nil {
 					continue // fabric momentarily full
 				}
@@ -359,8 +374,8 @@ func TestConcurrentOps(t *testing.T) {
 		}(decs[i])
 	}
 	wg.Wait()
-	if c.Tasks() != 0 {
-		t.Errorf("Tasks = %d after all unloads", c.Tasks())
+	if c.Stats().Tasks != 0 {
+		t.Errorf("Tasks = %d after all unloads", c.Stats().Tasks)
 	}
 	if free := c.Fabric().FreeMacros(); free != 32*32 {
 		t.Errorf("FreeMacros = %d", free)
@@ -398,8 +413,8 @@ func TestCompact(t *testing.T) {
 		t.Errorf("task %d at (%d,%d), want origin", ids[1], second.X, second.Y)
 	}
 	// All tasks still loaded and regions owned consistently.
-	if c.Tasks() != 2 {
-		t.Errorf("Tasks = %d", c.Tasks())
+	if c.Stats().Tasks != 2 {
+		t.Errorf("Tasks = %d", c.Stats().Tasks)
 	}
 	_ = w
 }
@@ -453,16 +468,16 @@ func TestRelocateRejectsSeamConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(f, 1)
-	a, err := c.LoadAt(v, 0, 0)
+	a, err := loadAt(c, v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.LoadAt(v, 3, 0)
+	b, err := loadAt(c, v, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Loading directly adjacent is refused by the load path...
-	if _, err := c.LoadAt(v, 1, 0); err == nil {
+	if _, err := loadAt(c, v, 1, 0); err == nil {
 		t.Fatal("adjacent conflicting load accepted")
 	}
 	// ...so relocation there must be refused too, with B restored.
@@ -511,10 +526,10 @@ func TestCanPlaceDoesNotMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(f, 1)
-	if _, err := c.LoadAt(v, 0, 0); err != nil {
+	if _, err := loadAt(c, v, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.LoadAt(v, 3, 0); err != nil {
+	if _, err := loadAt(c, v, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	d, err := DecodeVBS(v, 1)
@@ -528,14 +543,14 @@ func TestCanPlaceDoesNotMutate(t *testing.T) {
 		configs[x] = f.Config().At(x, 0).Vec().Clone()
 	}
 	for x := 0; x < 6; x++ {
-		_ = c.CanPlace(d, x, 0)
+		_ = canPlace(c, d, x, 0)
 	}
 	for x := 0; x < 6; x++ {
 		if f.OwnerAt(x, 0) != owners[x] {
-			t.Errorf("CanPlace mutated owner of (%d,0)", x)
+			t.Errorf("dry run mutated owner of (%d,0)", x)
 		}
 		if !f.Config().At(x, 0).Vec().Equal(configs[x]) {
-			t.Errorf("CanPlace mutated configuration of (%d,0)", x)
+			t.Errorf("dry run mutated configuration of (%d,0)", x)
 		}
 	}
 }
@@ -554,10 +569,10 @@ func TestCanPlaceMatchesCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := New(f, 1)
-		if _, err := c.LoadAt(v, 0, 0); err != nil {
+		if _, err := loadAt(c, v, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.LoadAt(v, 3, 0); err != nil {
+		if _, err := loadAt(c, v, 3, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -569,8 +584,8 @@ func TestCanPlaceMatchesCommit(t *testing.T) {
 			_, err := live.LoadDecodedAt(d, x, 0)
 			return err == nil
 		}()
-		if got := dry.CanPlace(d, x, 0) == nil; got != want {
-			t.Errorf("x=%d: CanPlace = %v, commit = %v", x, got, want)
+		if got := canPlace(dry, d, x, 0); got != want {
+			t.Errorf("x=%d: dry run = %v, commit = %v", x, got, want)
 		}
 	}
 }
@@ -589,7 +604,7 @@ func TestLoadDecodedPolicyBestFit(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := New(f, 1)
-		if _, err := c.LoadAt(v, 2, 0); err != nil {
+		if _, err := loadAt(c, v, 2, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -621,11 +636,11 @@ func TestCompactPropagatesRestoreFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(f, 1)
-	a, err := c.LoadAt(v, 0, 0)
+	a, err := loadAt(c, v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.LoadAt(v, 2, 0)
+	b, err := loadAt(c, v, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

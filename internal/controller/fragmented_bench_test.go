@@ -91,7 +91,7 @@ func loadWriteScan(c *Controller, d *Decoded) (*Task, error) {
 }
 
 // BenchmarkFragmentedLoad compares placement on a fragmented fabric:
-// dryrun is the current LoadDecoded (dry-run admission, one committed
+// dryrun is LoadDecodedPolicy with first fit (dry-run admission, one committed
 // write), writescan is the seed's write/erase probing. Run with
 // -benchtime=1x in CI as a smoke test; run normally to compare.
 func BenchmarkFragmentedLoad(b *testing.B) {
@@ -115,7 +115,9 @@ func BenchmarkFragmentedLoad(b *testing.B) {
 			}
 		}
 	}
-	b.Run("dryrun", run((*Controller).LoadDecoded))
+	b.Run("dryrun", run(func(c *Controller, d *Decoded) (*Task, error) {
+		return c.LoadDecodedPolicy(d, nil)
+	}))
 	b.Run("writescan", run(loadWriteScan))
 }
 

@@ -107,7 +107,7 @@ func TestOccupancyMatchesRecountUnderChurn(t *testing.T) {
 }
 
 // bruteForceSlot picks a slot the slow way: every position row-major
-// through the message-building CanPlace, keeping the first admissible
+// through the dry-run admission check, keeping the first admissible
 // one — or, for best-fit, the first with the fewest free macros in the
 // ring around it.
 func bruteForceSlot(c *Controller, d *Decoded, bestFit bool) (bx, by int, ok bool) {
@@ -117,7 +117,7 @@ func bruteForceSlot(c *Controller, d *Decoded, bestFit bool) (bx, by int, ok boo
 	bestGap := -1
 	for y := 0; y < g.Height; y++ {
 		for x := 0; x < g.Width; x++ {
-			if c.CanPlace(d, x, y) != nil {
+			if !canPlace(c, d, x, y) {
 				continue
 			}
 			if !bestFit {

@@ -460,32 +460,3 @@ func BenchmarkDecodeCluster3(b *testing.B) {
 		}
 	}
 }
-
-func TestEncodeBestPicksSmallest(t *testing.T) {
-	f := runFlow(t, 50, 30, 7, 10, 6)
-	best, stats, err := EncodeBest(f.d, f.pl, f.res, EncodeOptions{}, 1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats == nil {
-		t.Fatal("nil stats")
-	}
-	for _, c := range []int{1, 2, 3} {
-		v, _, err := Encode(f.d, f.pl, f.res, EncodeOptions{Cluster: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Size() < best.Size() {
-			t.Errorf("cluster %d size %d beats EncodeBest's %d (cluster %d)",
-				c, v.Size(), best.Size(), best.Cluster)
-		}
-	}
-	// The winner still verifies.
-	decoded, err := best.Decode(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bitstream.Verify(decoded, f.d, f.pl, f.gr); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -238,34 +238,6 @@ func Encode(d *netlist.Design, pl *place.Placement, res *route.Result, opt Encod
 	return v, stats, nil
 }
 
-// EncodeBest encodes at every candidate cluster size and returns the
-// smallest VBS (by the Table I bit accounting), with its stats and the
-// winning cluster size. The paper leaves cluster selection to the
-// designer; this automates it for tools that just want the smallest
-// loadable image.
-func EncodeBest(d *netlist.Design, pl *place.Placement, res *route.Result,
-	opt EncodeOptions, clusters ...int) (*VBS, *EncodeStats, error) {
-	if len(clusters) == 0 {
-		clusters = []int{1, 2, 3, 4}
-	}
-	var (
-		bestV *VBS
-		bestS *EncodeStats
-	)
-	for _, c := range clusters {
-		o := opt
-		o.Cluster = c
-		v, stats, err := Encode(d, pl, res, o)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: cluster %d: %w", c, err)
-		}
-		if bestV == nil || v.Size() < bestV.Size() {
-			bestV, bestS = v, stats
-		}
-	}
-	return bestV, bestS, nil
-}
-
 // extractPairs walks every routed net tree and produces, per region,
 // the connection list: for each electrically connected component the
 // net forms inside the region, one (first terminal, other terminal)

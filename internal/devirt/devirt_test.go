@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bits"
 )
 
 func region1(t *testing.T) Region {
@@ -47,8 +48,8 @@ func TestMacroCodeSpaceMatchesArch(t *testing.T) {
 	if r.NumIOCodes() != p.NumIOCodes() {
 		t.Fatalf("code space %d != arch %d", r.NumIOCodes(), p.NumIOCodes())
 	}
-	if r.MBits() != p.MBits() {
-		t.Fatalf("M %d != arch %d", r.MBits(), p.MBits())
+	if m := bits.CeilLog2(p.NumIOCodes()); r.MBits() != m {
+		t.Fatalf("M %d != arch %d", r.MBits(), m)
 	}
 	for tr := 0; tr < p.W; tr++ {
 		if IOCode(p.CodeForSide(arch.West, tr)) != r.CodeWest(0, tr) {
@@ -165,12 +166,36 @@ func TestCondForCodeRange(t *testing.T) {
 	}
 }
 
-// connected checks electrical connectivity of two local conductors in
-// a decoded single-macro config.
-func macroConnected(t *testing.T, cfg *arch.MacroConfig, a, b arch.Cond) bool {
-	t.Helper()
-	comp := cfg.Components()
-	return comp[a] == comp[b]
+// macroConnected checks electrical connectivity of two local
+// conductors in a decoded single-macro config: b is reachable from a
+// through switches that are on.
+func macroConnected(p arch.Params, cfg *arch.MacroConfig, a, b arch.Cond) bool {
+	seen := map[arch.Cond]bool{a: true}
+	for stack := []arch.Cond{a}; len(stack) > 0; {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if c == b {
+			return true
+		}
+		for _, nb := range p.Adjacency(c) {
+			if cfg.SwitchOn(nb.Switch) && !seen[nb.Cond] {
+				seen[nb.Cond] = true
+				stack = append(stack, nb.Cond)
+			}
+		}
+	}
+	return false
+}
+
+// onSwitches lists the switches of cfg that are on, in canonical order.
+func onSwitches(p arch.Params, cfg *arch.MacroConfig) []int {
+	var on []int
+	for i := range p.Switches() {
+		if cfg.SwitchOn(i) {
+			on = append(on, i)
+		}
+	}
+	return on
 }
 
 func TestRouteStraightThrough(t *testing.T) {
@@ -183,11 +208,11 @@ func TestRouteStraightThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rt.Configs()[0]
-	if !macroConnected(t, cfg, r.P.CondInW(3), r.P.CondHW(3)) {
+	if !macroConnected(r.P, cfg, r.P.CondInW(3), r.P.CondHW(3)) {
 		t.Error("west 3 not connected to east 3")
 	}
 	// Exactly one switch should be on: the (InW,HW) pair of track 3.
-	on := cfg.OnSwitches()
+	on := onSwitches(r.P, cfg)
 	if len(on) != 1 {
 		t.Fatalf("%d switches on, want 1", len(on))
 	}
@@ -209,14 +234,14 @@ func TestRouteToPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rt.Configs()[0]
-	if !macroConnected(t, cfg, r.P.CondInW(2), r.P.CondPin(1)) {
+	if !macroConnected(r.P, cfg, r.P.CondInW(2), r.P.CondPin(1)) {
 		t.Error("west 2 not connected to pin 1")
 	}
 	// Pin 5 is a ChanY pin: route from the south side.
 	if err := rt.RouteConnection(r.CodeSouth(0, 4), r.CodePin(0, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if !macroConnected(t, cfg, r.P.CondInS(4), r.P.CondPin(5)) {
+	if !macroConnected(r.P, cfg, r.P.CondInS(4), r.P.CondPin(5)) {
 		t.Error("south 4 not connected to pin 5")
 	}
 }
@@ -237,11 +262,11 @@ func TestRouteCrossingTracksShareSwitchPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rt.Configs()[0]
-	if !macroConnected(t, cfg, r.P.CondInW(3), r.P.CondHW(3)) ||
-		!macroConnected(t, cfg, r.P.CondInS(3), r.P.CondVW(3)) {
+	if !macroConnected(r.P, cfg, r.P.CondInW(3), r.P.CondHW(3)) ||
+		!macroConnected(r.P, cfg, r.P.CondInS(3), r.P.CondVW(3)) {
 		t.Error("routes broken")
 	}
-	if macroConnected(t, cfg, r.P.CondInW(3), r.P.CondInS(3)) {
+	if macroConnected(r.P, cfg, r.P.CondInW(3), r.P.CondInS(3)) {
 		t.Error("horizontal and vertical routes are shorted")
 	}
 }
@@ -275,7 +300,7 @@ func TestRouteNetExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rt.Configs()[0]
-	if !macroConnected(t, cfg, r.P.CondInW(3), r.P.CondVW(3)) {
+	if !macroConnected(r.P, cfg, r.P.CondInW(3), r.P.CondVW(3)) {
 		t.Error("extended net not fully connected")
 	}
 	oin, err := rt.Owner(r.CodeWest(0, 3))
@@ -315,12 +340,11 @@ func TestRouteTrackChangeViaPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rt.Configs()[0]
-	if !macroConnected(t, cfg, r.P.CondInW(1), r.P.CondHW(2)) {
+	if !macroConnected(r.P, cfg, r.P.CondInW(1), r.P.CondHW(2)) {
 		t.Error("track change failed")
 	}
 	// The output pin must not be used as the route-through.
-	comp := cfg.Components()
-	if comp[r.P.CondPin(0)] == comp[r.P.CondInW(1)] {
+	if macroConnected(r.P, cfg, r.P.CondPin(0), r.P.CondInW(1)) {
 		t.Error("output pin used as route-through")
 	}
 }
@@ -378,7 +402,7 @@ func TestClusterPinToPin(t *testing.T) {
 	// switches are on.
 	total := 0
 	for _, c := range rt.Configs() {
-		total += len(c.OnSwitches())
+		total += len(onSwitches(r.P, c))
 	}
 	if total == 0 {
 		t.Error("no switches turned on")

@@ -67,7 +67,7 @@ func TestRandomPairSequencesNeverCorrupt(t *testing.T) {
 		// one net.
 		for mi, cfg := range rt.Configs() {
 			j, i := mi/r.CW, mi%r.CW
-			for _, si := range cfg.OnSwitches() {
+			for _, si := range onSwitches(p, cfg) {
 				sw := p.Switches()[si]
 				a := r.resolveLocal(i, j, sw.A)
 				b := r.resolveLocal(i, j, sw.B)

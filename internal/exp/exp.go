@@ -413,25 +413,6 @@ func (r *Results) AblationTable() *report.Table {
 	return t
 }
 
-// RenderAll writes every applicable table.
-func (r *Results) RenderAll(w io.Writer) {
-	if r.Cfg.MeasureMCW {
-		r.Table2().Render(w)
-		fmt.Fprintln(w)
-	}
-	r.Fig4().Render(w)
-	fmt.Fprintln(w)
-	r.Fig5().Render(w)
-	fmt.Fprintln(w)
-	r.DecodeTable().Render(w)
-	fmt.Fprintln(w)
-	r.FallbackTable().Render(w)
-	if r.Cfg.Ablations {
-		fmt.Fprintln(w)
-		r.AblationTable().Render(w)
-	}
-}
-
 func (b *BenchResult) vbsAt(cluster int) *VBSResult {
 	for i := range b.VBS {
 		if b.VBS[i].Cluster == cluster {

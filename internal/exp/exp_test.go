@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/report"
 )
 
 // smallRun executes the harness on two small benchmarks at heavy
@@ -54,7 +56,9 @@ func TestRunPipeline(t *testing.T) {
 func TestTablesRender(t *testing.T) {
 	r := smallRun(t, true, true)
 	var sb strings.Builder
-	r.RenderAll(&sb)
+	for _, tbl := range []*report.Table{r.Table2(), r.Fig4(), r.Fig5(), r.DecodeTable(), r.FallbackTable(), r.AblationTable()} {
+		tbl.Render(&sb)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"Table II", "Figure 4", "Figure 5", "Decode cost",

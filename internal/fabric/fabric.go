@@ -126,28 +126,13 @@ func (f *Fabric) Release(id TaskID) int {
 	return n
 }
 
-// CheckRect reports whether a task could claim the rectangle: it must
+// FitsRect reports whether a task could claim the rectangle: it must
 // lie inside the grid and every macro must be unowned. Macros owned by
 // except are treated as free (pass the relocating task's id, or NoTask
 // for a fresh load), so a task may be admitted into space overlapping
-// its own current region. Nothing is mutated; this is the overlap half
-// of dry-run admission.
-func (f *Fabric) CheckRect(x0, y0, w, h int, except TaskID) error {
-	if err := f.rectCheck(x0, y0, w, h); err != nil {
-		return err
-	}
-	for y := y0; y < y0+h; y++ {
-		for x := x0; x < x0+w; x++ {
-			if o := f.owner[f.g.Index(x, y)]; o != NoTask && o != except {
-				return fmt.Errorf("fabric: macro (%d,%d) owned by task %d", x, y, o)
-			}
-		}
-	}
-	return nil
-}
-
-// FitsRect is CheckRect as an allocation-free predicate, for placement
-// scans that probe many positions.
+// its own current region. Nothing is mutated and nothing allocated:
+// this is the overlap half of dry-run admission, probed by placement
+// scans at many positions.
 func (f *Fabric) FitsRect(x0, y0, w, h int, except TaskID) bool {
 	if w < 1 || h < 1 || x0 < 0 || y0 < 0 || x0+w > f.g.Width || y0+h > f.g.Height {
 		return false
@@ -167,12 +152,6 @@ func (f *Fabric) FreeMacros() int { return f.free }
 
 // UsedMacros returns the number of task-owned macros.
 func (f *Fabric) UsedMacros() int { return f.g.NumMacros() - f.free }
-
-// Occupancy returns the owned fraction of the fabric in [0, 1] — the
-// figure a runtime manager balances placement decisions on.
-func (f *Fabric) Occupancy() float64 {
-	return float64(f.UsedMacros()) / float64(f.g.NumMacros())
-}
 
 // seam is one of the four boundaries of a task rectangle: the wire kind
 // the boundary macro inside the rectangle sees, the kind the same wires
@@ -195,7 +174,7 @@ func (f *Fabric) contended(s seam, in, out *arch.MacroConfig, t int) bool {
 }
 
 // conflictText is the one wording of a contended wire, shared by the
-// live and the dry-run analysis.
+// live analysis and the tests' listing of the dry-run one.
 func (f *Fabric) conflictText(c arch.Cond, x, y int, ida, idb TaskID) string {
 	return fmt.Sprintf("wire %s of macro (%d,%d) contended by tasks %d and %d",
 		f.p.CondName(c), x, y, ida, idb)
@@ -247,30 +226,19 @@ func (f *Fabric) liveSeam(out *[]string, ax, ay int, s seam) {
 	}
 }
 
-// CandidateSeamConflicts runs the seam analysis of SeamConflicts for a
-// hypothetical placement, without writing anything into the fabric:
-// the task `as` occupies rectangle (x0, y0, w, h) with the per-macro
-// configurations returned by cfgAt (rectangle-relative coordinates;
-// nil means all-off). Macros outside the rectangle are read from the
-// live configuration, except that macros owned by `as` are skipped —
-// for a relocation they would be released (and cleared) before the
+// HasCandidateSeamConflict runs the seam analysis of SeamConflicts for
+// a hypothetical placement, without writing anything into the fabric,
+// and reports whether it finds a contended wire: the task `as`
+// occupies rectangle (x0, y0, w, h) with the per-macro configurations
+// returned by cfgAt (rectangle-relative coordinates; nil means
+// all-off). Macros outside the rectangle are read from the live
+// configuration, except that macros owned by `as` are skipped — for a
+// relocation they would be released (and cleared) before the
 // candidate is written, and for a fresh load `as` is a new id nothing
-// else owns. The result equals what SeamConflicts would report after
-// Allocate-and-write at the same position, which is what makes
-// dry-run admission sound.
-func (f *Fabric) CandidateSeamConflicts(as TaskID, x0, y0, w, h int, cfgAt func(dx, dy int) *arch.MacroConfig) []string {
-	var out []string
-	f.scanCandidateSeams(as, x0, y0, w, h, cfgAt, func(ax, ay int, ac arch.Cond, idb TaskID) bool {
-		out = append(out, f.conflictText(ac, ax, ay, as, idb))
-		return false
-	})
-	return out
-}
-
-// HasCandidateSeamConflict reports whether CandidateSeamConflicts
-// would be non-empty, stopping at the first contended wire and
-// allocating nothing — the admission predicate placement scans probe
-// hundreds of positions with.
+// else owns. The verdict equals what SeamConflicts would report after
+// Allocate-and-write at the same position, which is what makes dry-run
+// admission sound. It stops at the first contended wire and allocates
+// nothing: placement scans probe hundreds of positions with it.
 func (f *Fabric) HasCandidateSeamConflict(as TaskID, x0, y0, w, h int, cfgAt func(dx, dy int) *arch.MacroConfig) bool {
 	found := false
 	f.scanCandidateSeams(as, x0, y0, w, h, cfgAt, func(int, int, arch.Cond, TaskID) bool {

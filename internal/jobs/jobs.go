@@ -94,25 +94,11 @@ type Job struct {
 // ID returns the job's table-assigned id.
 func (j *Job) ID() int64 { return j.id }
 
-// Kind returns the job's kind.
-func (j *Job) Kind() string { return j.kind }
-
 // Arg returns a start argument ("" when absent).
 func (j *Job) Arg(name string) string { return j.args[name] }
 
-// Context is cancelled when the job is aborted (or its table shut
-// down); runners thread it through every blocking call.
-func (j *Job) Context() context.Context { return j.ctx }
-
 // Done is closed when the job reaches a terminal status.
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Aborted reports whether Abort was called.
-func (j *Job) Aborted() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.aborted
-}
 
 // Add increments a named progress counter.
 func (j *Job) Add(counter string, delta int64) {
@@ -126,13 +112,6 @@ func (j *Job) Set(counter string, v int64) {
 	j.mu.Lock()
 	j.progress[counter] = v
 	j.mu.Unlock()
-}
-
-// Progress returns one counter's current value.
-func (j *Job) Progress(counter string) int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.progress[counter]
 }
 
 // Snapshot returns the job's current wire view.
@@ -332,17 +311,6 @@ func (t *Table) List() []Snapshot {
 	out := make([]Snapshot, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Snapshot()
-	}
-	return out
-}
-
-// Running counts non-terminal jobs, per kind.
-func (t *Table) Running() map[string]int {
-	out := map[string]int{}
-	for _, s := range t.List() {
-		if !s.Status.Terminal() {
-			out[s.Kind]++
-		}
 	}
 	return out
 }

@@ -9,12 +9,12 @@
 // exports is either cumulative-monotonic (counters: rate() works) or
 // an instantaneous level (gauges); nothing is reset on read.
 //
-// Registration is construction: Registry.Counter / Gauge / Histogram
-// (and their *Vec and *Func forms) panic on a duplicate name, so all
+// Registration is construction: Registry.CounterFunc / GaugeFunc /
+// GaugeVec / Histogram / HistogramVec panic on a duplicate name, so all
 // registration must happen exactly once — in package init or in a
 // constructor (the vbslint `metricreg` analyzer enforces this).
-// Observation paths (Add, Set, Observe) are lock-free atomics and safe
-// for any concurrency.
+// Observation paths (Set, Observe) are lock-free atomics and safe for
+// any concurrency.
 package metrics
 
 import (
@@ -131,53 +131,6 @@ func validName(s string) bool {
 
 // ── counters ───────────────────────────────────────────────────────
 
-// Counter is a monotonically increasing integer metric.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) write(b *strings.Builder, name, labelStr string) {
-	b.WriteString(name)
-	b.WriteString(labelStr)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(c.v.Load(), 10))
-	b.WriteByte('\n')
-}
-
-// Counter registers an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := newFamily(name, help, KindCounter, nil)
-	r.register(f)
-	c := &Counter{}
-	f.kids[""] = c
-	f.keys = append(f.keys, "")
-	return c
-}
-
-// CounterVec registers a counter family with the given label names.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	f := newFamily(name, help, KindCounter, labels)
-	r.register(f)
-	return &CounterVec{f: f}
-}
-
-// With returns the counter for the given label values, creating it on
-// first use. It panics when the value count does not match the label
-// names.
-func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.childFor(values, func() child { return &Counter{} }).(*Counter)
-}
-
 // funcMetric renders a value read from a callback at collect time —
 // the bridge for pre-existing atomic counters and computed levels.
 type funcMetric struct{ fn func() float64 }
@@ -217,16 +170,6 @@ func (g *Gauge) write(b *strings.Builder, name, labelStr string) {
 	b.WriteByte(' ')
 	b.WriteString(formatFloat(g.Value()))
 	b.WriteByte('\n')
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := newFamily(name, help, KindGauge, nil)
-	r.register(f)
-	g := &Gauge{}
-	f.kids[""] = g
-	f.keys = append(f.keys, "")
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape
@@ -469,9 +412,11 @@ func escapeLabelValue(s string) string {
 	if !strings.ContainsAny(s, "\\\"\n") {
 		return s
 	}
+	// Byte-wise: the escaped characters are ASCII, and any other byte
+	// (invalid UTF-8 included) must pass through untouched.
 	var b strings.Builder
-	for _, c := range s {
-		switch c {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -479,7 +424,7 @@ func escapeLabelValue(s string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(c)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -105,34 +105,33 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("vbs_test_total", "t")
+	r.CounterFunc("vbs_test_total", "t", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("vbs_test_total", "t")
+	r.GaugeVec("vbs_test_total", "t", "k")
 }
 
 func TestRenderFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.CounterVec("vbs_test_ops_total", "ops by kind", "op")
-	c.With("load").Add(3)
-	c.With("get").Add(1)
-	g := r.Gauge("vbs_test_tasks", "live tasks")
-	g.Set(7)
+	r.CounterFunc("vbs_test_ops_total", "ops served", func() float64 { return 3 })
+	g := r.GaugeVec("vbs_test_tasks", "live tasks by node", "node")
+	g.With("a").Set(7)
+	g.With("b").Set(1)
 	h := r.HistogramVec("vbs_test_op_duration_seconds", "latency", []float64{0.1, 1}, "op")
 	h.With("load").Observe(0.05)
 	h.With("load").Observe(0.5)
 
 	out := r.Render()
 	for _, want := range []string{
-		"# HELP vbs_test_ops_total ops by kind",
+		"# HELP vbs_test_ops_total ops served",
 		"# TYPE vbs_test_ops_total counter",
-		`vbs_test_ops_total{op="load"} 3`,
-		`vbs_test_ops_total{op="get"} 1`,
+		"vbs_test_ops_total 3",
 		"# TYPE vbs_test_tasks gauge",
-		"vbs_test_tasks 7",
+		`vbs_test_tasks{node="a"} 7`,
+		`vbs_test_tasks{node="b"} 1`,
 		"# TYPE vbs_test_op_duration_seconds histogram",
 		`vbs_test_op_duration_seconds_bucket{op="load",le="0.1"} 1`,
 		`vbs_test_op_duration_seconds_bucket{op="load",le="1"} 2`,
@@ -148,13 +147,13 @@ func TestRenderFormat(t *testing.T) {
 func TestOnCollectRefreshesGauges(t *testing.T) {
 	r := NewRegistry()
 	level := 1.0
-	g := r.Gauge("vbs_test_level", "t")
-	r.OnCollect(func() { g.Set(level) })
-	if !strings.Contains(r.Render(), "vbs_test_level 1\n") {
+	g := r.GaugeVec("vbs_test_level", "t", "k")
+	r.OnCollect(func() { g.With("a").Set(level) })
+	if !strings.Contains(r.Render(), "vbs_test_level{k=\"a\"} 1\n") {
 		t.Fatal("collect hook did not run")
 	}
 	level = 42
-	if !strings.Contains(r.Render(), "vbs_test_level 42\n") {
+	if !strings.Contains(r.Render(), "vbs_test_level{k=\"a\"} 42\n") {
 		t.Fatal("collect hook result not re-rendered")
 	}
 }
@@ -180,7 +179,7 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestVecArityPanics(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("vbs_test_total", "t", "a", "b")
+	v := r.GaugeVec("vbs_test_total", "t", "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("label arity mismatch did not panic")

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -8,8 +9,7 @@ import (
 
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("vbs_test_total", "a counter")
-	c.Add(5)
+	r.CounterFunc("vbs_test_total", "a counter", func() float64 { return 5 })
 	h := r.HistogramVec("vbs_test_seconds", "a histogram", []float64{0.1, 1}, "op")
 	h.With("load").Observe(0.05)
 	h.With("load").Observe(0.5)
@@ -138,4 +138,48 @@ func TestDefaultBucketsResolveWarmLatencies(t *testing.T) {
 	if top := DefLatencyBuckets[len(DefLatencyBuckets)-1]; top != 10 {
 		t.Errorf("top bound = %v s, want 10 (cold decodes)", top)
 	}
+}
+
+// FuzzParseExposition: Parse reads what a remote daemon's /metrics
+// serves, so no input may panic it; and whatever a registry renders —
+// label values and sample values drawn from the fuzzer — must parse
+// back to the same samples.
+func FuzzParseExposition(f *testing.F) {
+	f.Add([]byte("# HELP x y\n# TYPE x counter\nx 3 1700000000000\n"), "load", 0.25)
+	f.Add([]byte(`vbs_bad{le="0.1" 3`), `a"b\c`, 3.0)
+	// Invalid UTF-8 next to an escaped quote: escaping once rewrote the
+	// stray byte as U+FFFD, so the label no longer round-tripped.
+	f.Add([]byte(""), "\xff\"", 1.0)
+	f.Add([]byte("vbs_x{a=\"\\n\"} NaN\n"), "line\nbreak", math.Inf(1))
+	f.Fuzz(func(t *testing.T, text []byte, label string, v float64) {
+		_, _ = Parse(bytes.NewReader(text))
+
+		r := NewRegistry()
+		r.CounterFunc("vbs_fuzz_total", "fuzzed counter", func() float64 { return v })
+		r.GaugeVec("vbs_fuzz_level", "fuzzed gauge", "name").With(label).Set(v)
+		r.HistogramVec("vbs_fuzz_seconds", "fuzzed histogram", []float64{0.1, 1}, "name").With(label).Observe(v)
+		samples, err := Parse(strings.NewReader(r.Render()))
+		if err != nil {
+			t.Fatalf("parse of a rendered registry: %v", err)
+		}
+		same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+		lbl := map[string]string{"name": label}
+		for _, want := range []struct {
+			name   string
+			labels map[string]string
+			v      float64
+		}{
+			{"vbs_fuzz_total", nil, v},
+			{"vbs_fuzz_level", lbl, v},
+			{"vbs_fuzz_seconds_count", lbl, 1},
+			{"vbs_fuzz_seconds_sum", lbl, v},
+		} {
+			if got, ok := Find(samples, want.name, want.labels); !ok || !same(got, want.v) {
+				t.Errorf("%s%v = %v (found %v), want %v", want.name, want.labels, got, ok, want.v)
+			}
+		}
+		if bk := Buckets(samples, "vbs_fuzz_seconds", lbl); len(bk) != 3 || bk[2].Count != 1 {
+			t.Errorf("buckets = %+v, want 3 ending at count 1", bk)
+		}
+	})
 }

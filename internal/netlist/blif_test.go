@@ -37,16 +37,16 @@ func TestParseBLIFBasics(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := c.CountKind(CellInput); got != 3 {
+	if got := countKind(c, CellInput); got != 3 {
 		t.Errorf("inputs = %d, want 3 (continuation line)", got)
 	}
-	if got := c.CountKind(CellOutput); got != 2 {
+	if got := countKind(c, CellOutput); got != 2 {
 		t.Errorf("outputs = %d, want 2", got)
 	}
-	if got := c.CountKind(CellLUT); got != 2 {
+	if got := countKind(c, CellLUT); got != 2 {
 		t.Errorf("LUTs = %d, want 2", got)
 	}
-	if got := c.CountKind(CellLatch); got != 1 {
+	if got := countKind(c, CellLatch); got != 1 {
 		t.Errorf("latches = %d, want 1", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestParseBLIFOffSetCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lut := c.Cells[c.Nets[c.FindNet("z")].Driver]
+	lut := c.Cells[c.Nets[findNet(c, "z")].Driver]
 	// Off-set cover {11}: z = NAND(a, b).
 	want := []bool{true, true, true, false}
 	for i, w := range want {
@@ -112,11 +112,11 @@ func TestParseBLIFConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := c.Cells[c.Nets[c.FindNet("one")].Driver]
+	one := c.Cells[c.Nets[findNet(c, "one")].Driver]
 	if one.Truth.Len() != 1 || !one.Truth.Get(0) {
 		t.Error("constant one mis-parsed")
 	}
-	zero := c.Cells[c.Nets[c.FindNet("zero")].Driver]
+	zero := c.Cells[c.Nets[findNet(c, "zero")].Driver]
 	if zero.Truth.Len() != 1 || zero.Truth.Get(0) {
 		t.Error("constant zero mis-parsed")
 	}
@@ -159,8 +159,8 @@ func TestWriteBLIFRoundTrip(t *testing.T) {
 		t.Errorf("name %q != %q", back.Name, orig.Name)
 	}
 	for _, k := range []CellKind{CellInput, CellOutput, CellLUT, CellLatch} {
-		if back.CountKind(k) != orig.CountKind(k) {
-			t.Errorf("%v count %d != %d", k, back.CountKind(k), orig.CountKind(k))
+		if countKind(back, k) != countKind(orig, k) {
+			t.Errorf("%v count %d != %d", k, countKind(back, k), countKind(orig, k))
 		}
 	}
 	// Truth tables must survive the round trip net-by-net.
@@ -169,7 +169,7 @@ func TestWriteBLIFRoundTrip(t *testing.T) {
 			continue
 		}
 		name := orig.Nets[orig.Cells[i].Output].Name
-		bnet := back.FindNet(name)
+		bnet := findNet(back, name)
 		if bnet == NoNet {
 			t.Fatalf("net %q lost", name)
 		}
@@ -217,7 +217,7 @@ func TestRandomBLIFRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if back.CountKind(CellLUT) != c.CountKind(CellLUT) {
+		if countKind(back, CellLUT) != countKind(c, CellLUT) {
 			t.Fatalf("seed %d: LUT count changed", seed)
 		}
 		for i := range c.Cells {
@@ -225,7 +225,7 @@ func TestRandomBLIFRoundTrip(t *testing.T) {
 				continue
 			}
 			name := c.Nets[c.Cells[i].Output].Name
-			bc := back.Cells[back.Nets[back.FindNet(name)].Driver]
+			bc := back.Cells[back.Nets[findNet(back, name)].Driver]
 			if !bc.Truth.Equal(c.Cells[i].Truth) {
 				t.Fatalf("seed %d: truth of %q changed", seed, name)
 			}

@@ -7,7 +7,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bits"
 )
@@ -107,17 +106,6 @@ func (c *Circuit) NetByName(name string) NetID {
 	return id
 }
 
-// FindNet returns the net named name, or NoNet.
-func (c *Circuit) FindNet(name string) NetID {
-	if c.netByName == nil {
-		c.NetByName("") // force index build
-	}
-	if id, ok := c.netByName[name]; ok {
-		return id
-	}
-	return NoNet
-}
-
 func (c *Circuit) addCell(cell Cell) CellID {
 	id := CellID(len(c.Cells))
 	c.Cells = append(c.Cells, cell)
@@ -203,17 +191,6 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-// CountKind returns the number of cells of kind k.
-func (c *Circuit) CountKind(k CellKind) int {
-	n := 0
-	for _, cell := range c.Cells {
-		if cell.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // BlockKind classifies packed design blocks.
 type BlockKind int
 
@@ -283,9 +260,6 @@ type Design struct {
 	Blocks []Block
 	Nets   []DesignNet
 }
-
-// NumBlocks returns the total block count.
-func (d *Design) NumBlocks() int { return len(d.Blocks) }
 
 // AddNet appends a new undriven net and returns its id.
 func (d *Design) AddNet(name string) NetID {
@@ -441,22 +415,4 @@ func (d *Design) Stats() Stats {
 		s.AvgFanout = float64(s.TotalSinks) / float64(s.Nets)
 	}
 	return s
-}
-
-// FanoutHistogram returns sorted (fanout, count) pairs across all nets.
-func (d *Design) FanoutHistogram() []struct{ Fanout, Count int } {
-	m := make(map[int]int)
-	for _, n := range d.Nets {
-		m[len(n.Sinks)]++
-	}
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]struct{ Fanout, Count int }, len(keys))
-	for i, k := range keys {
-		out[i] = struct{ Fanout, Count int }{k, m[k]}
-	}
-	return out
 }

@@ -41,20 +41,20 @@ func TestCircuitBuildAndValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := c.CountKind(CellInput); got != 2 {
+	if got := countKind(c, CellInput); got != 2 {
 		t.Errorf("inputs = %d, want 2", got)
 	}
-	if got := c.CountKind(CellLUT); got != 1 {
+	if got := countKind(c, CellLUT); got != 1 {
 		t.Errorf("LUTs = %d, want 1", got)
 	}
-	if got := c.CountKind(CellLatch); got != 1 {
+	if got := countKind(c, CellLatch); got != 1 {
 		t.Errorf("latches = %d, want 1", got)
 	}
-	if got := c.CountKind(CellOutput); got != 1 {
+	if got := countKind(c, CellOutput); got != 1 {
 		t.Errorf("outputs = %d, want 1", got)
 	}
 	// Net "x" must be driven by the LUT and sunk by the latch.
-	x := c.FindNet("x")
+	x := findNet(c, "x")
 	if x == NoNet {
 		t.Fatal("net x missing")
 	}
@@ -85,15 +85,40 @@ func TestAddLUTBadTruth(t *testing.T) {
 	}
 }
 
+// TestFindNet: NetByName finds an existing net without growing the
+// circuit, and creates an undriven one for a new name.
 func TestFindNet(t *testing.T) {
 	c := NewCircuit("f")
 	c.AddInput("a")
-	if c.FindNet("a") == NoNet {
-		t.Error("net a should exist")
+	n := len(c.Nets)
+	if id := c.NetByName("a"); id == NoNet || len(c.Nets) != n || c.Nets[id].Name != "a" {
+		t.Errorf("NetByName(a) = %d with %d nets, want the input's net of %d", id, len(c.Nets), n)
 	}
-	if c.FindNet("zzz") != NoNet {
-		t.Error("missing net should return NoNet")
+	id := c.NetByName("zzz")
+	if len(c.Nets) != n+1 || c.Nets[id].Name != "zzz" || c.Nets[id].Driver != NoCell {
+		t.Errorf("NetByName(zzz) did not add one undriven net: %+v", c.Nets[id])
 	}
+}
+
+// findNet returns the net named name, or NoNet, without creating it.
+func findNet(c *Circuit, name string) NetID {
+	for i, n := range c.Nets {
+		if n.Name == name {
+			return NetID(i)
+		}
+	}
+	return NoNet
+}
+
+// countKind returns the number of cells of kind k.
+func countKind(c *Circuit, k CellKind) int {
+	n := 0
+	for _, cell := range c.Cells {
+		if cell.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 func buildSmallDesign(t *testing.T) *Design {
@@ -114,8 +139,8 @@ func TestDesignValidate(t *testing.T) {
 	if d.NumLogicBlocks() != 1 {
 		t.Errorf("NumLogicBlocks = %d", d.NumLogicBlocks())
 	}
-	if d.NumBlocks() != 3 {
-		t.Errorf("NumBlocks = %d", d.NumBlocks())
+	if len(d.Blocks) != 3 {
+		t.Errorf("NumBlocks = %d", len(d.Blocks))
 	}
 }
 
@@ -157,11 +182,17 @@ func TestDesignStats(t *testing.T) {
 	}
 }
 
+// TestFanoutHistogram: both nets of the small design have fanout 1,
+// and Stats' fanout summary agrees.
 func TestFanoutHistogram(t *testing.T) {
 	d := buildSmallDesign(t)
-	h := d.FanoutHistogram()
-	if len(h) != 1 || h[0].Fanout != 1 || h[0].Count != 2 {
-		t.Errorf("histogram = %v", h)
+	for i, n := range d.Nets {
+		if len(n.Sinks) != 1 {
+			t.Errorf("net %d (%s) fanout %d, want 1", i, n.Name, len(n.Sinks))
+		}
+	}
+	if s := d.Stats(); len(d.Nets) != 2 || s.MaxFanout != 1 || s.TotalSinks != 2 {
+		t.Errorf("%d nets, stats %+v", len(d.Nets), s)
 	}
 }
 
@@ -208,12 +239,12 @@ func TestRandomDesignsValidate(t *testing.T) {
 		if s.Blocks != s.LogicBlocks+s.InputPads+s.OutputPads {
 			t.Fatalf("seed %d: block counts inconsistent", seed)
 		}
-		total := 0
-		for _, h := range d.FanoutHistogram() {
-			total += h.Count
+		sinks := 0
+		for _, n := range d.Nets {
+			sinks += len(n.Sinks)
 		}
-		if total != s.Nets {
-			t.Fatalf("seed %d: histogram covers %d nets, want %d", seed, total, s.Nets)
+		if sinks != s.TotalSinks {
+			t.Fatalf("seed %d: nets carry %d sinks, Stats counts %d", seed, sinks, s.TotalSinks)
 		}
 	}
 }

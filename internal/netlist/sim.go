@@ -115,19 +115,11 @@ func (s *Simulator) Step(inputs map[string]bool) map[string]bool {
 }
 
 // InputNames returns the primary input names in sorted order.
-func (s *Simulator) InputNames() []string { return padNames(s.c, CellInput) }
-
-// OutputNames returns the primary output names in sorted order.
-func (s *Simulator) OutputNames() []string { return padNames(s.c, CellOutput) }
-
-func padNames(c *Circuit, k CellKind) []string {
+func (s *Simulator) InputNames() []string {
 	var names []string
-	for _, cell := range c.Cells {
-		switch {
-		case k == CellInput && cell.Kind == CellInput:
-			names = append(names, c.Nets[cell.Output].Name)
-		case k == CellOutput && cell.Kind == CellOutput:
-			names = append(names, c.Nets[cell.Inputs[0]].Name)
+	for _, cell := range s.c.Cells {
+		if cell.Kind == CellInput {
+			names = append(names, s.c.Nets[cell.Output].Name)
 		}
 	}
 	sort.Strings(names)

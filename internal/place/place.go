@@ -27,14 +27,6 @@ type Placement struct {
 	occ []netlist.BlockID
 }
 
-// At returns the block at (x, y), or netlist.NoBlock.
-func (p *Placement) At(x, y int) netlist.BlockID {
-	if !p.Grid.Contains(x, y) {
-		return netlist.NoBlock
-	}
-	return p.occ[p.Grid.Index(x, y)]
-}
-
 // Validate checks that the placement is legal for the design: every
 // block placed exactly once on a cell of the right class, no overlap.
 func (p *Placement) Validate(d *netlist.Design) error {

@@ -52,7 +52,7 @@ func TestPlaceLegal(t *testing.T) {
 		if (blk.Kind == netlist.LogicBlock) == onRing {
 			t.Errorf("block %d (%v) at (%d,%d), onRing=%v", b, blk.Kind, loc.X, loc.Y, onRing)
 		}
-		if pl.At(loc.X, loc.Y) != netlist.BlockID(b) {
+		if pl.occ[pl.Grid.Index(loc.X, loc.Y)] != netlist.BlockID(b) {
 			t.Errorf("At(%d,%d) inconsistent", loc.X, loc.Y)
 		}
 	}

@@ -112,7 +112,7 @@ func TestFaultsCorruptAndShortReads(t *testing.T) {
 
 			// The healthy file was moved aside, not deleted: it must sit
 			// in the quarantine directory.
-			matches, err := filepath.Glob(filepath.Join(r.Dir(), "quarantine", "*"+blobExt))
+			matches, err := filepath.Glob(filepath.Join(r.dir, "quarantine", "*"+blobExt))
 			if err != nil || len(matches) != 1 {
 				t.Fatalf("quarantine files: %v (err=%v), want 1", matches, err)
 			}
@@ -172,7 +172,7 @@ func TestFaultsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	path := BlobPath(r.Dir(), d)
+	path := BlobPath(r.dir, d)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read blob file: %v", err)

@@ -210,9 +210,6 @@ func Open(dir string, opts Options) (*Repo, error) {
 	return r, nil
 }
 
-// Dir returns the repository root.
-func (r *Repo) Dir() string { return r.dir }
-
 // ScanReport returns the recovery scan Open performed.
 func (r *Repo) ScanReport() ScanReport {
 	r.mu.RLock()

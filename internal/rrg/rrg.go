@@ -98,9 +98,6 @@ func Build(p arch.Params, g arch.Grid) (*Graph, error) {
 // NumNodes returns the node count: grid macros × (2W + L).
 func (gr *Graph) NumNodes() int { return gr.G.NumMacros() * gr.perMacro }
 
-// NumEdges returns the number of undirected switch edges.
-func (gr *Graph) NumEdges() int { return len(gr.edges) / 2 }
-
 // NodeHW returns the node of horizontal wire t of macro (x, y).
 func (gr *Graph) NodeHW(x, y, t int) NodeID {
 	return NodeID(gr.G.Index(x, y)*gr.perMacro + t)
@@ -193,52 +190,4 @@ func (gr *Graph) GlobalNode(x, y int, c arch.Cond) NodeID {
 	default:
 		return gr.NodePin(x, y, idx)
 	}
-}
-
-// LocalCond returns the conductor that global node n presents inside
-// macro (x, y), or (CondNone, false) if n does not touch that macro.
-// A horizontal wire of macro (x-1, y) appears as InW inside (x, y); a
-// vertical wire of (x, y-1) appears as InS.
-func (gr *Graph) LocalCond(n NodeID, x, y int) (arch.Cond, bool) {
-	nx, ny, kind, idx := gr.NodeInfo(n)
-	switch kind {
-	case NodeHWire:
-		if nx == x && ny == y {
-			return gr.P.CondHW(idx), true
-		}
-		if nx == x-1 && ny == y {
-			return gr.P.CondInW(idx), true
-		}
-	case NodeVWire:
-		if nx == x && ny == y {
-			return gr.P.CondVW(idx), true
-		}
-		if nx == x && ny == y-1 {
-			return gr.P.CondInS(idx), true
-		}
-	case NodePinWire:
-		if nx == x && ny == y {
-			return gr.P.CondPin(idx), true
-		}
-	}
-	return arch.CondNone, false
-}
-
-// MacrosTouching lists the grid indices of the macros a node's
-// conductor extends into (one for pin wires, up to two for channel
-// wires).
-func (gr *Graph) MacrosTouching(n NodeID) []int {
-	x, y, kind, _ := gr.NodeInfo(n)
-	own := gr.G.Index(x, y)
-	switch kind {
-	case NodeHWire:
-		if x+1 < gr.G.Width {
-			return []int{own, gr.G.Index(x+1, y)}
-		}
-	case NodeVWire:
-		if y+1 < gr.G.Height {
-			return []int{own, gr.G.Index(x, y+1)}
-		}
-	}
-	return []int{own}
 }

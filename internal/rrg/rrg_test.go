@@ -85,8 +85,8 @@ func TestEdgeCount(t *testing.T) {
 			want += e
 		}
 	}
-	if gr.NumEdges() != want {
-		t.Errorf("NumEdges = %d, want %d", gr.NumEdges(), want)
+	if got := len(gr.edges) / 2; got != want {
+		t.Errorf("undirected edges = %d, want %d", got, want)
 	}
 }
 
@@ -164,59 +164,50 @@ func TestPinReachability(t *testing.T) {
 	t.Error("pin (1,1)#0 cannot reach pin (2,1)#1")
 }
 
+// TestLocalCond pins the local-conductor view of global nodes: a
+// horizontal wire of macro (x-1, y) is InW inside (x, y), a vertical
+// wire of (x, y-1) is InS, and pin wires are local to their macro.
 func TestLocalCond(t *testing.T) {
 	gr := small(t)
 	p := gr.P
-	// HW(1,1,3) inside its own macro is CondHW(3).
 	n := gr.NodeHW(1, 1, 3)
-	if c, ok := gr.LocalCond(n, 1, 1); !ok || c != p.CondHW(3) {
-		t.Errorf("own macro: got %v,%v", c, ok)
+	if got := gr.GlobalNode(1, 1, p.CondHW(3)); got != n {
+		t.Errorf("own macro HW(3): got %s", gr.NodeName(got))
 	}
-	// Inside (2,1) it is InW(3).
-	if c, ok := gr.LocalCond(n, 2, 1); !ok || c != p.CondInW(3) {
-		t.Errorf("east neighbour: got %v,%v", c, ok)
+	if got := gr.GlobalNode(2, 1, p.CondInW(3)); got != n {
+		t.Errorf("east neighbour InW(3): got %s", gr.NodeName(got))
 	}
-	// It does not touch (3,1).
-	if _, ok := gr.LocalCond(n, 3, 1); ok {
-		t.Error("wire should not touch (3,1)")
+	if got := gr.GlobalNode(1, 2, p.CondInS(2)); got != gr.NodeVW(1, 1, 2) {
+		t.Errorf("north neighbour InS(2): got %s", gr.NodeName(got))
 	}
-	// VW(1,1,2) is InS(2) inside (1,2).
-	v := gr.NodeVW(1, 1, 2)
-	if c, ok := gr.LocalCond(v, 1, 2); !ok || c != p.CondInS(2) {
-		t.Errorf("north neighbour: got %v,%v", c, ok)
-	}
-	// Pin wires touch only their own macro.
-	pw := gr.NodePin(2, 2, 4)
-	if c, ok := gr.LocalCond(pw, 2, 2); !ok || c != p.CondPin(4) {
-		t.Errorf("pin: got %v,%v", c, ok)
-	}
-	if _, ok := gr.LocalCond(pw, 1, 2); ok {
-		t.Error("pin should not touch neighbour")
+	if got := gr.GlobalNode(2, 2, p.CondPin(4)); got != gr.NodePin(2, 2, 4) {
+		t.Errorf("pin: got %s", gr.NodeName(got))
 	}
 }
 
+// TestMacrosTouching: a channel wire extends into its own macro and the
+// east (horizontal) or north (vertical) one, and no further; wires off
+// the west or south fabric edge do not exist.
 func TestMacrosTouching(t *testing.T) {
 	gr := small(t)
-	g := gr.G
-	// Interior horizontal wire touches its macro and the east one.
-	ms := gr.MacrosTouching(gr.NodeHW(1, 1, 0))
-	if len(ms) != 2 || ms[0] != g.Index(1, 1) || ms[1] != g.Index(2, 1) {
-		t.Errorf("HW touching = %v", ms)
+	p := gr.P
+	if gr.GlobalNode(2, 1, p.CondInW(0)) != gr.NodeHW(1, 1, 0) {
+		t.Error("interior HW does not reach its east neighbour")
 	}
-	// East-edge horizontal wire touches only its macro.
-	ms = gr.MacrosTouching(gr.NodeHW(3, 1, 0))
-	if len(ms) != 1 || ms[0] != g.Index(3, 1) {
-		t.Errorf("edge HW touching = %v", ms)
+	if gr.GlobalNode(1, 2, p.CondInS(2)) != gr.NodeVW(1, 1, 2) {
+		t.Error("interior VW does not reach its north neighbour")
 	}
-	// Pin wire touches one macro.
-	ms = gr.MacrosTouching(gr.NodePin(2, 1, 3))
-	if len(ms) != 1 {
-		t.Errorf("pin touching = %v", ms)
+	if gr.GlobalNode(0, 1, p.CondInW(0)) != NoNode || gr.GlobalNode(1, 0, p.CondInS(0)) != NoNode {
+		t.Error("a wire reaches in from beyond the west or south edge")
 	}
-	// Vertical wire touches its macro and the north one.
-	ms = gr.MacrosTouching(gr.NodeVW(1, 1, 2))
-	if len(ms) != 2 || ms[1] != g.Index(1, 2) {
-		t.Errorf("VW touching = %v", ms)
+	// Only the (x+1, y) neighbour sees HW(x, y) as an incoming wire.
+	hw := gr.NodeHW(1, 1, 0)
+	for x := 0; x < gr.G.Width; x++ {
+		for y := 0; y < gr.G.Height; y++ {
+			if gr.GlobalNode(x, y, p.CondInW(0)) == hw && (x != 2 || y != 1) {
+				t.Errorf("HW(1,1)#0 appears as InW inside (%d,%d)", x, y)
+			}
+		}
 	}
 }
 
@@ -242,6 +233,6 @@ func BenchmarkBuildMedium(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = gr.NumEdges()
+		_ = gr
 	}
 }

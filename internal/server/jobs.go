@@ -50,6 +50,8 @@ func (s *Server) runScrub(ctx context.Context, j *jobs.Job) error {
 	return nil
 }
 
+// runWarm decodes up to "max" stored blobs (0 = all) into the
+// decoded-bitstream cache, promoting disk-resident ones.
 func (s *Server) runWarm(ctx context.Context, j *jobs.Job) error {
 	max := 0
 	if v := j.Arg("max"); v != "" {
@@ -59,8 +61,25 @@ func (s *Server) runWarm(ctx context.Context, j *jobs.Job) error {
 		}
 		max = m
 	}
-	_, err := s.warmDecoded(ctx, max, j.Add)
-	return err
+	warmed := 0
+	for _, b := range s.store.List() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if max > 0 && warmed >= max {
+			break
+		}
+		ent, err := s.store.Fetch(b.Digest)
+		if err != nil {
+			return err
+		}
+		if _, _, err := s.getOrDecode(ent); err != nil {
+			return err
+		}
+		warmed++
+		j.Add("warmed", 1)
+	}
+	return nil
 }
 
 // Jobs exposes the node's job table — vbsd uses it for periodic

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -221,7 +222,7 @@ func TestVBSEndpointsWithoutDataDir(t *testing.T) {
 }
 
 // TestWarmDecodedStreamsFromDisk restarts a daemon over a populated
-// data dir and asserts WarmDecoded pre-fills the decoded cache: the
+// data dir and asserts the warm job pre-fills the decoded cache: the
 // first load afterwards is a cache hit.
 func TestWarmDecodedStreamsFromDisk(t *testing.T) {
 	dataDir := t.TempDir()
@@ -235,9 +236,12 @@ func TestWarmDecodedStreamsFromDisk(t *testing.T) {
 	}
 
 	cl2, srv2 := newTestDaemon(t, 1, 16, server.Options{DataDir: dataDir})
-	n, err := srv2.WarmDecoded(0)
-	if err != nil || n != 1 {
-		t.Fatalf("WarmDecoded: n=%d err=%v", n, err)
+	j, err := srv2.Jobs().Start("warm", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := j.Wait(t.Context()); err != nil || snap.Status != jobs.StatusDone || snap.Progress["warmed"] != 1 {
+		t.Fatalf("warm job: %+v, err %v", snap, err)
 	}
 	resp, err := cl2.Load(t.Context(), data, server.LoadRequest{})
 	if err != nil {

@@ -38,7 +38,6 @@
 package server
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -81,10 +80,6 @@ type Options struct {
 	// disk, eviction demotes, misses fall through, and a boot recovery
 	// scan re-indexes (and quarantines) existing blobs.
 	DataDir string
-	// MaxBodyBytes bounds every JSON request body; an oversized body
-	// is rejected with 413 before being buffered in full. 0 selects
-	// DefaultMaxBodyBytes; negative disables the limit.
-	MaxBodyBytes int64
 	// EnableChaos registers the /chaos/faults endpoints, which arm the
 	// disk tier's fault-injection seam over HTTP. For chaos testing
 	// only — never enable on a production daemon.
@@ -96,9 +91,10 @@ type Options struct {
 	TombstoneTTL time.Duration
 }
 
-// DefaultMaxBodyBytes is the request-body bound applied when
-// Options.MaxBodyBytes is zero: generous against any real VBS
-// container (base64 inflates by 4/3), small against a memory DoS.
+// DefaultMaxBodyBytes bounds every JSON request body, at the daemon and
+// the gateway alike: an oversized body is rejected with 413 before
+// being buffered in full. Generous against any real VBS container
+// (base64 inflates by 4/3), small against a memory DoS.
 const DefaultMaxBodyBytes = 64 << 20
 
 // Server manages a pool of fabrics behind the HTTP API. Create one
@@ -110,7 +106,6 @@ type Server struct {
 	flight  *store.Flight[*controller.Decoded]
 	workers int
 	policy  sched.Policy
-	maxBody int64
 	chaos   bool
 	tombTTL time.Duration
 	start   time.Time
@@ -164,10 +159,6 @@ func New(ctrls []*controller.Controller, opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	maxBody := opts.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
 	s := &Server{
 		ctrls: ctrls,
 		store: store.NewTiered(opts.StoreBytes, disk),
@@ -176,7 +167,6 @@ func New(ctrls []*controller.Controller, opts Options) (*Server, error) {
 		flight:  store.NewFlight[*controller.Decoded](),
 		workers: opts.DecodeWorkers,
 		policy:  pol,
-		maxBody: maxBody,
 		chaos:   opts.EnableChaos,
 		tombTTL: opts.TombstoneTTL,
 		start:   time.Now(),
@@ -258,20 +248,16 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // decodeBody reads a JSON request body under the server's size bound.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return DecodeJSONBody(w, r, s.maxBody, v)
+	return DecodeJSONBody(w, r, DefaultMaxBodyBytes, v)
 }
 
-// DecodeJSONBody reads a JSON request body bounded by maxBytes
-// (<= 0 = unbounded), replying 413 on overflow and 400 on malformed
-// JSON. It returns false when a reply was already written. Shared by
-// the daemon and the cluster gateway so both surfaces reject
-// oversized bodies identically.
+// DecodeJSONBody reads a JSON request body bounded by maxBytes,
+// replying 413 on overflow and 400 on malformed JSON. It returns false
+// when a reply was already written. Shared by the daemon and the
+// cluster gateway so both surfaces reject oversized bodies
+// identically.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	body := r.Body
-	if maxBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, maxBytes)
-	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes)).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -876,10 +862,6 @@ func (s *Server) handleTombstones(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// SweepTombstones reclaims expired delete tombstones — vbsd's
-// housekeeping ticker calls it so records do not pile up forever.
-func (s *Server) SweepTombstones() (int, error) { return s.store.ExpireTombstones() }
-
 // Flush writes any RAM-only blobs through to the disk tier — called
 // by vbsd on graceful shutdown (a safety net over the write-through
 // admission path; usually a no-op).
@@ -892,41 +874,6 @@ func (s *Server) RecoveryReport() repo.ScanReport {
 		return disk.ScanReport()
 	}
 	return repo.ScanReport{}
-}
-
-// WarmDecoded streams up to max blobs (0 = all) from the store —
-// promoting disk-resident ones — and decodes them into the
-// decoded-bitstream cache, so a restarted daemon serves its first
-// loads at cache-hit latency. It returns how many blobs were warmed.
-func (s *Server) WarmDecoded(max int) (int, error) {
-	return s.warmDecoded(context.Background(), max, nil)
-}
-
-// warmDecoded is WarmDecoded bounded by ctx (checked between blobs —
-// the warm job runs it under an abortable job context). note, when
-// non-nil, receives per-blob progress ("warmed", 1).
-func (s *Server) warmDecoded(ctx context.Context, max int, note func(string, int64)) (int, error) {
-	warmed := 0
-	for _, b := range s.store.List() {
-		if err := ctx.Err(); err != nil {
-			return warmed, err
-		}
-		if max > 0 && warmed >= max {
-			break
-		}
-		ent, err := s.store.Fetch(b.Digest)
-		if err != nil {
-			return warmed, err
-		}
-		if _, _, err := s.getOrDecode(ent); err != nil {
-			return warmed, err
-		}
-		warmed++
-		if note != nil {
-			note("warmed", 1)
-		}
-	}
-	return warmed, nil
 }
 
 // Stats assembles the daemon-wide snapshot served at /stats.

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -267,18 +269,19 @@ func TestBadRequests(t *testing.T) {
 	check(err, "400", "x without y")
 }
 
-// TestMaxBodyBytes: JSON bodies beyond Options.MaxBodyBytes must be
-// rejected with 413 before being buffered — the seed accepted
-// unbounded POST /tasks bodies.
+// TestMaxBodyBytes: a JSON body one byte past DefaultMaxBodyBytes
+// must be rejected with 413 before being buffered — the seed accepted
+// unbounded POST /tasks bodies. The body is generated as it streams.
 func TestMaxBodyBytes(t *testing.T) {
-	cl, _ := newTestDaemon(t, 1, 16, server.Options{MaxBodyBytes: 1024})
+	cl, _ := newTestDaemon(t, 1, 16, server.Options{})
 
-	_, err := cl.Load(t.Context(), make([]byte, 4096), server.LoadRequest{})
-	if err == nil {
-		t.Fatal("oversized body accepted")
+	resp, err := http.Post(cl.Base()+"/tasks", "application/json", oversizedLoadBody())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "413") {
-		t.Fatalf("oversized body error = %v, want 413", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 
 	// A body under the bound still works end to end.
@@ -286,11 +289,72 @@ func TestMaxBodyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) >= 768 { // base64 inflates by 4/3 toward the 1024 cap
-		t.Fatalf("test container unexpectedly large: %d bytes", len(data))
-	}
 	if _, err := cl.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatalf("in-bound load: %v", err)
+	}
+}
+
+// oversizedLoadBody streams a POST /tasks body exactly one byte past
+// DefaultMaxBodyBytes without holding it in memory.
+func oversizedLoadBody() io.Reader {
+	head, tail := `{"vbs":"`, `"}`
+	fill := server.DefaultMaxBodyBytes + 1 - int64(len(head)+len(tail))
+	return io.MultiReader(strings.NewReader(head), io.LimitReader(fillReader('A'), fill), strings.NewReader(tail))
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestDecodesCountedOnTheNode: a cold load decodes once, and that count
+// lives on the node. Fabrics never decode — the server does, through
+// its cache — so no fabric row on /stats or /fabrics carries a
+// decodes field (they used to report a constant 0).
+func TestDecodesCountedOnTheNode(t *testing.T) {
+	cl, _ := newTestDaemon(t, 2, 16, server.Options{})
+	data, err := makeVBS(3, 10, 4, 8, 1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Load(t.Context(), data, server.LoadRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := http.Get(cl.Base() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	var st struct {
+		Decodes uint64           `json:"decodes"`
+		Fabrics []map[string]any `json:"fabrics"`
+	}
+	get("/stats", &st)
+	var fabs []map[string]any
+	get("/fabrics", &fabs)
+	if st.Decodes != 1 {
+		t.Errorf("node decodes = %d after one cold load, want 1", st.Decodes)
+	}
+	if len(st.Fabrics) != 2 || len(fabs) != 2 {
+		t.Fatalf("fabric rows: /stats %d, /fabrics %d, want 2", len(st.Fabrics), len(fabs))
+	}
+	for _, f := range append(st.Fabrics, fabs...) {
+		for _, key := range []string{"decodes", "decode_ns"} {
+			if v, ok := f[key]; ok {
+				t.Errorf("fabric %v carries %s = %v", f["index"], key, v)
+			}
+		}
 	}
 }
 

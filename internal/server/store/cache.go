@@ -92,13 +92,6 @@ func (c *Cache[V]) evictOldest() {
 	c.evictions++
 }
 
-// Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 // CacheStats is a point-in-time snapshot of cache behaviour.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`

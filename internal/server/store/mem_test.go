@@ -53,7 +53,7 @@ func TestStoreCapBoundsRetainedHeap(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	const capBytes = 4 << 20
-	s := NewBounded(capBytes)
+	s := NewTiered(capBytes, nil)
 	// One admission per base first: routing graphs are built and cached
 	// process-wide on first sight of a region shape, which is not the
 	// store's memory.
@@ -99,7 +99,7 @@ func TestMeanCompressionRatioMatchesRecomputedMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	s := NewBounded(12 * retained(t, bases[0].Data)) // a dozen residents: puts evict
+	s := NewTiered(12*retained(t, bases[0].Data), nil) // a dozen residents: puts evict
 	var known []Digest
 	for step := 0; step < 400; step++ {
 		switch {

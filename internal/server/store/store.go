@@ -109,16 +109,10 @@ type Store struct {
 	promote *Flight[*Entry] // collapses concurrent disk promotions
 }
 
-// New returns an unbounded RAM-only store.
-func New() *Store { return NewTiered(0, nil) }
-
-// NewBounded returns a RAM-only store evicting least-recently-used
-// entries once the bytes they retain exceed capBytes (<= 0 =
-// unbounded). Without a disk tier, eviction deletes.
-func NewBounded(capBytes int) *Store { return NewTiered(capBytes, nil) }
-
-// NewTiered returns a store with an optional persistent tier beneath
-// the RAM LRU. disk may be nil (RAM-only).
+// NewTiered returns a store evicting least-recently-used entries once
+// the bytes they retain exceed capBytes (<= 0 = unbounded), with an
+// optional persistent tier beneath the RAM LRU. disk may be nil
+// (RAM-only: eviction deletes).
 func NewTiered(capBytes int, disk *repo.Repo) *Store {
 	return &Store{
 		capBytes: capBytes,
@@ -286,17 +280,6 @@ func (s *Store) GetData(d Digest) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return data, err
-}
-
-// Has reports whether any tier holds the digest.
-func (s *Store) Has(d Digest) bool {
-	s.mu.Lock()
-	_, ram := s.entries[d]
-	s.mu.Unlock()
-	if ram {
-		return true
-	}
-	return s.disk != nil && s.disk.Has(d)
 }
 
 // Delete removes a digest from both tiers. It returns ErrNotFound

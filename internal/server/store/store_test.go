@@ -32,7 +32,7 @@ func retained(t testing.TB, data []byte) int {
 }
 
 func TestStorePut(t *testing.T) {
-	s := New()
+	s := NewTiered(0, nil)
 	data := testVBS(t, 2)
 	ent, existed, err := s.Put(data)
 	if err != nil || existed {
@@ -71,7 +71,7 @@ func TestStorePut(t *testing.T) {
 }
 
 func TestStoreRejectsMalformed(t *testing.T) {
-	s := New()
+	s := NewTiered(0, nil)
 	if _, _, err := s.Put([]byte("not a vbs")); err == nil {
 		t.Error("malformed container admitted")
 	}
@@ -133,8 +133,8 @@ func TestCacheUnbounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(DigestOf([]byte{byte(i)}), "v")
 	}
-	if c.Len() != 100 || c.Stats().Evictions != 0 {
-		t.Errorf("unbounded cache evicted: len=%d", c.Len())
+	if c.Stats().Entries != 100 || c.Stats().Evictions != 0 {
+		t.Errorf("unbounded cache evicted: len=%d", c.Stats().Entries)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestFlightCollapses(t *testing.T) {
 func TestStoreBoundedEviction(t *testing.T) {
 	a, b, c := testVBS(t, 2), testVBS(t, 3), testVBS(t, 4)
 	cap := retained(t, a) + retained(t, b)
-	s := NewBounded(cap)
+	s := NewTiered(cap, nil)
 	entA, _, err := s.Put(a)
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestTieredEvictionLosesNoBlob(t *testing.T) {
 
 func TestUntieredEvictionStillDeletes(t *testing.T) {
 	a := testVBS(t, 2)
-	s := NewBounded(len(a) + 1)
+	s := NewTiered(len(a)+1, nil)
 	entA, _, err := s.Put(a)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestStoreDelete(t *testing.T) {
 	if err := s.Delete(ent.Digest); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(ent.Digest) || disk.Has(ent.Digest) {
+	if s.entries[ent.Digest] != nil || disk.Has(ent.Digest) {
 		t.Fatal("blob survived Delete in some tier")
 	}
 	if err := s.Delete(ent.Digest); !errors.Is(err, ErrNotFound) {
@@ -271,7 +271,7 @@ func TestStoreListMergesTiers(t *testing.T) {
 		}
 	}
 	// RAM-only store lists its entries too.
-	s2 := New()
+	s2 := NewTiered(0, nil)
 	ent, _, _ := s2.Put(a)
 	l2 := s2.List()
 	if len(l2) != 1 || l2[0].Digest != ent.Digest || !l2[0].RAM || l2[0].Disk {
@@ -280,7 +280,7 @@ func TestStoreListMergesTiers(t *testing.T) {
 }
 
 func TestFetchDistinguishesNotFound(t *testing.T) {
-	s := New()
+	s := NewTiered(0, nil)
 	if _, err := s.Fetch(DigestOf([]byte("x"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}

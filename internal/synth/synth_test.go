@@ -140,7 +140,7 @@ func TestPackMergesExclusiveLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 input pads + 1 merged LB + 1 output pad.
-	if got := d.NumBlocks(); got != 4 {
+	if got := len(d.Blocks); got != 4 {
 		t.Fatalf("blocks = %d, want 4 (latch should merge)", got)
 	}
 	if got := d.NumLogicBlocks(); got != 1 {

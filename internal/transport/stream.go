@@ -231,23 +231,6 @@ func (s *Stream) waitSpaceLocked(ctx context.Context) error {
 	}
 }
 
-// Ping round-trips an empty RPC — the cheapest way to prove the
-// stream is live end to end.
-func (s *Stream) Ping(ctx context.Context) error {
-	resp, err := s.Call(ctx, []byte{MsgPing}, false)
-	if err != nil {
-		return err
-	}
-	status, _, err := DecodeResult(resp)
-	if err != nil {
-		return err
-	}
-	if status != 200 {
-		return errors.New("transport: ping rejected")
-	}
-	return nil
-}
-
 // Connected reports whether the stream currently holds a live
 // connection. Callers with a synchronous fallback path (the gateway's
 // HTTP scatter) consult it so work is never stranded on a stream whose

@@ -390,8 +390,12 @@ func TestUpgradeHandshake(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := st.Ping(ctx); err != nil {
+	res, err := st.Call(ctx, []byte{MsgPing}, false)
+	if err != nil {
 		t.Fatalf("ping over upgraded stream: %v", err)
+	}
+	if status, _, err := DecodeResult(res); err != nil || status != 200 {
+		t.Fatalf("ping over upgraded stream: status %d, %v", status, err)
 	}
 	if pings.Load() != 1 {
 		t.Fatalf("server saw %d pings, want 1", pings.Load())

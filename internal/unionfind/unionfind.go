@@ -19,9 +19,6 @@ func New(n int) *UF {
 	return u
 }
 
-// Len returns the number of elements.
-func (u *UF) Len() int { return len(u.parent) }
-
 // Find returns the canonical representative of x's set.
 func (u *UF) Find(x int) int {
 	root := int32(x)
@@ -51,9 +48,6 @@ func (u *UF) Union(a, b int) bool {
 	u.size[ra] += u.size[rb]
 	return true
 }
-
-// Same reports whether a and b are in one set.
-func (u *UF) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
 
 // SetSize returns the size of x's set.
 func (u *UF) SetSize(x int) int { return int(u.size[u.Find(x)]) }

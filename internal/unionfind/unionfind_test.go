@@ -8,8 +8,8 @@ import (
 
 func TestBasics(t *testing.T) {
 	u := New(10)
-	if u.Len() != 10 {
-		t.Fatalf("Len = %d", u.Len())
+	if len(u.parent) != 10 {
+		t.Fatalf("len = %d", len(u.parent))
 	}
 	for i := 0; i < 10; i++ {
 		if u.Find(i) != i {
@@ -25,11 +25,11 @@ func TestBasics(t *testing.T) {
 	if u.Union(1, 2) {
 		t.Error("second union should be a no-op")
 	}
-	if !u.Same(1, 2) || u.Same(1, 3) {
+	if u.Find(1) != u.Find(2) || u.Find(1) == u.Find(3) {
 		t.Error("Same wrong")
 	}
 	u.Union(2, 3)
-	if !u.Same(1, 3) {
+	if u.Find(1) != u.Find(3) {
 		t.Error("transitivity lost")
 	}
 	if u.SetSize(1) != 3 {
@@ -62,7 +62,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if u.Same(i, j) != (label[i] == label[j]) {
+				if (u.Find(i) == u.Find(j)) != (label[i] == label[j]) {
 					return false
 				}
 			}

@@ -121,7 +121,7 @@ func TestControllerIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := NewController(fab, 2)
-	task, err := ctrl.LoadAt(c.VBS, 0, 0)
+	task, err := ctrl.Load(c.VBS) // an empty fabric: first fit is the origin
 	if err != nil {
 		t.Fatal(err)
 	}
