@@ -25,10 +25,12 @@
 //
 // Endpoints: POST /tasks, GET /tasks, DELETE /tasks/{id},
 // POST /tasks/{id}/relocate, POST /fabrics/{i}/compact, GET /fabrics,
-// GET /vbs, GET /vbs/{digest}, DELETE /vbs/{digest}, GET /stats,
-// GET /healthz, POST /jobs, GET /jobs, GET /jobs/{id},
-// DELETE /jobs/{id}, GET /metrics, and GET /stream — the frame-stream
-// upgrade a vbsgw gateway rides for replication and batch fan-out.
+// GET /vbs, GET /vbs/{digest}, DELETE /vbs/{digest}, GET /healthz,
+// POST /jobs, GET /jobs, GET /jobs/{id}, DELETE /jobs/{id},
+// GET /metrics, and GET /stream — the frame-stream upgrade a vbsgw
+// gateway rides for replication and batch fan-out. Every counter is
+// on GET /metrics; per-fabric occupancy and load, unload and
+// relocation totals are on GET /fabrics.
 package main
 
 import (
@@ -166,7 +168,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("vbsd: serving %d %dx%d fabric(s) (W=%d, K=%d) on %s", *nFabrics, gw, gh, *w, *k, *addr)
+	log.Printf("vbsd: serving %d %dx%d fabric(s) (W=%d, K=%d, policy %s) on %s", *nFabrics, gw, gh, *w, *k, srv.Policy(), *addr)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("vbsd: %v", err)
 	}

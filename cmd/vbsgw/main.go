@@ -12,9 +12,9 @@
 // replica set (falling back to a full scatter for blobs imported
 // out-of-band) and heal missing replicas on the way (read-repair).
 // Fleet-wide listings (GET /vbs, /tasks, /fabrics) scatter-gather and
-// merge; GET /stats is the gateway's uptime plus a `cluster` block
-// (node health, per-node occupancy, ring version, traffic counters,
-// and rebalance progress) — fleet totals stay on the nodes.
+// merge; GET /cluster/nodes lists each member's mode and probe health
+// with the ring version, and every gateway counter is on GET /metrics
+// — fleet totals stay on the nodes.
 //
 // Membership is elastic at runtime; a background rebalancer converges
 // blob placement after every change — every pass is a Job (POST /jobs

@@ -132,7 +132,6 @@ var testSupport = map[string]string{
 	"repro/internal/bitstream.Raw.Equal":        "bit-identity oracle for every decode test",
 	"repro/internal/compress.DecompressLZSS":    "proves the LZSS baseline is a real codec",
 	"repro/internal/devirt.Router.Configs":      "the pooled router's ownership contract, exercised by the poolescape fixture",
-	"repro/internal/metrics.Find":               "exposition lookup the metrics, server and cluster tests assert with",
 	"repro/internal/netlist.NewSimulator":       "netlist simulator, fabricsim's and synth's behavioural oracle",
 	"repro/internal/netlist.Simulator":          "netlist simulator, fabricsim's and synth's behavioural oracle",
 	"repro/internal/netlist.NewDesignSimulator": "packed-design simulator, fabricsim's behavioural oracle",

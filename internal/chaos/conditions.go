@@ -288,17 +288,6 @@ var ownersHoldReplicas = Condition{
 	},
 }
 
-// sampleValue returns the value of a single unlabeled sample (0 when
-// absent).
-func sampleValue(samples []metrics.Sample, name string) float64 {
-	for _, s := range samples {
-		if s.Name == name {
-			return s.Value
-		}
-	}
-	return 0
-}
-
 // streamsHealed: after a kill-and-restart the gateway's persistent
 // data-plane streams recovered on their own. The streams-open gauge
 // proves the pool is live again, and the reconnect counter proves the
@@ -313,10 +302,10 @@ var streamsHealed = Condition{
 		if err != nil {
 			return fmt.Errorf("gateway /metrics: %w", err)
 		}
-		if open := sampleValue(samples, "vbs_transport_streams_open"); open < 1 {
+		if open, _ := metrics.Find(samples, "vbs_transport_streams_open", nil); open < 1 {
 			return fmt.Errorf("no live gateway stream (open=%g)", open)
 		}
-		if rec := sampleValue(samples, "vbs_transport_reconnects_total"); rec < 1 {
+		if rec, _ := metrics.Find(samples, "vbs_transport_reconnects_total", nil); rec < 1 {
 			return fmt.Errorf("no stream reconnect recorded — the killed node's stream never re-dialed")
 		}
 		return nil

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/loadgen"
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -141,7 +142,7 @@ func waitStreamsOpen(ctx context.Context, e *Env, n int) bool {
 		mctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		samples, err := e.Fleet.Client.Metrics(mctx)
 		cancel()
-		if err == nil && sampleValue(samples, "vbs_transport_streams_open") >= float64(n) {
+		if open, _ := metrics.Find(samples, "vbs_transport_streams_open", nil); err == nil && open >= float64(n) {
 			return true
 		}
 		if ctx.Err() != nil || time.Now().After(deadline) {
@@ -214,15 +215,16 @@ func runCorruptBlob(ctx context.Context, e *Env) error {
 	Sleep(ctx, e.Cfg.FaultPhase/2)
 	// Harness sanity: the scan must have quarantined the corrupt file.
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	st, err := target.Client().Stats(cctx)
+	samples, err := target.Client().Metrics(cctx)
 	cancel()
 	if err != nil {
-		return fmt.Errorf("stats of %s after restart: %w", target.Name(), err)
+		return fmt.Errorf("metrics of %s after restart: %w", target.Name(), err)
 	}
-	if st.Repo.Quarantined == 0 {
+	q, _ := metrics.Find(samples, "vbs_repo_quarantined_total", nil)
+	if q == 0 {
 		return fmt.Errorf("%s quarantined nothing after corrupting %.12s", target.Name(), digest)
 	}
-	e.recordFault("%s quarantined %d blob(s) at boot", target.Name(), st.Repo.Quarantined)
+	e.recordFault("%s quarantined %g blob(s) at boot", target.Name(), q)
 	return nil
 }
 

@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"fmt"
-	"io"
 	"net/http"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/repo"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -293,26 +291,18 @@ func waitReplicas(t *testing.T, nodes []*testNode, digest string, want int) {
 	}
 }
 
-// metricValue scrapes one untyped metric value off GET /metrics.
-func metricValue(t *testing.T, base, name string) float64 {
+// metricValue reads one sample from a daemon's /metrics, matching the
+// labels given as name, value pairs (0 when absent).
+func metricValue(t *testing.T, base, name string, labels ...string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	samples, err := server.NewClient(base, nil).Metrics(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]string{}
+	for i := 0; i+1 < len(labels); i += 2 {
+		want[labels[i]] = labels[i+1]
 	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			var v float64
-			if _, err := fmt.Sscanf(line[len(name)+1:], "%g", &v); err != nil {
-				t.Fatalf("parse %s: %v", line, err)
-			}
-			return v
-		}
-	}
-	return 0
+	v, _ := metrics.Find(samples, name, want)
+	return v
 }

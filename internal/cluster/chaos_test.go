@@ -94,15 +94,13 @@ func TestGatewayReadRepairConvergence(t *testing.T) {
 	}
 
 	// The sweeps that found nothing missing must not count as repairs.
-	var st cluster.StatsResponse
-	if _, err := getJSON(cl, "/stats", &st); err != nil {
-		t.Fatal(err)
+	repairs := metricValue(t, cl.Base(), "vbs_gateway_read_repairs_total")
+	checks := metricValue(t, cl.Base(), "vbs_gateway_repair_checks_total")
+	if repairs < replicas {
+		t.Fatalf("read repairs = %v, want >= %d", repairs, replicas)
 	}
-	if st.Cluster.ReadRepairs < replicas {
-		t.Fatalf("read_repairs = %d, want >= %d", st.Cluster.ReadRepairs, replicas)
-	}
-	if st.Cluster.RepairChecks < st.Cluster.ReadRepairs {
-		t.Fatalf("repair_checks (%d) < read_repairs (%d)", st.Cluster.RepairChecks, st.Cluster.ReadRepairs)
+	if checks < repairs {
+		t.Fatalf("repair checks (%v) < read repairs (%v)", checks, repairs)
 	}
 	_ = gw
 }

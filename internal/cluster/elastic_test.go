@@ -141,20 +141,21 @@ func TestClusterJoinNodeRebalances(t *testing.T) {
 
 	waitConverged(t, gw, nodes, digests, 2)
 
-	var st cluster.StatsResponse
-	if _, err := getJSON(cl, "/stats", &st); err != nil {
+	passes := metricValue(t, cl.Base(), "vbs_rebalance_passes_total")
+	examined := metricValue(t, cl.Base(), "vbs_rebalance_blobs_examined_total")
+	if passes == 0 || examined == 0 {
+		t.Errorf("rebalance not advancing: %v pass(es), %v blob(s) examined", passes, examined)
+	}
+	members, err := admin.Nodes(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rb := st.Cluster.Rebalance
-	if rb.Passes == 0 || rb.BlobsExamined == 0 {
-		t.Errorf("rebalance stats not advancing: %+v", rb)
+	if members.Version == 0 {
+		t.Error("membership version not advancing")
 	}
-	if st.Cluster.MembershipVersion == 0 {
-		t.Error("membership_version not advancing")
-	}
-	for _, ns := range st.Cluster.Nodes {
-		if ns.Mode != "active" {
-			t.Errorf("node %s mode %q after plain join", ns.Name, ns.Mode)
+	for _, m := range members.Nodes {
+		if m.Mode != "active" {
+			t.Errorf("node %s mode %q after plain join", m.Name, m.Mode)
 		}
 	}
 
@@ -343,19 +344,15 @@ func TestRebalancerHonorsTombstones(t *testing.T) {
 	if _, err := cl.GetVBS(ctx, res.Digest); err == nil {
 		t.Fatal("tombstoned blob resurfaced through the gateway")
 	}
-	var st cluster.StatsResponse
-	if _, err := getJSON(cl, "/stats", &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Cluster.Rebalance.TombstonesPropagated == 0 {
-		t.Errorf("tombstones_propagated = 0: %+v", st.Cluster.Rebalance)
+	if n := metricValue(t, cl.Base(), "vbs_rebalance_tombstones_propagated_total"); n == 0 {
+		t.Error("no tombstone propagated by the rebalancer")
 	}
 }
 
 // TestClusterRetriesCounter pins the per-hop retry satellite: with
 // RetryAttempts > 1 a dead node's transport failures are retried with
-// backoff (probes and idempotent hops alike) and surface in the
-// `retries` stats counter, while reads keep succeeding via failover.
+// backoff (probes and idempotent hops alike) and surface in
+// vbs_gateway_retries_total, while reads keep succeeding via failover.
 func TestClusterRetriesCounter(t *testing.T) {
 	cl, _, _, nodes := newElasticCluster(t, 2, cluster.Options{
 		Replicas:      2,
@@ -378,11 +375,7 @@ func TestClusterRetriesCounter(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var st cluster.StatsResponse
-		if _, err := getJSON(cl, "/stats", &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Cluster.Retries > 0 {
+		if metricValue(t, cl.Base(), "vbs_gateway_retries_total") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

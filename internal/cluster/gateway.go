@@ -207,7 +207,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /vbs", g.handleListVBS)
 	mux.HandleFunc("GET /vbs/{digest}", g.handleGetVBS)
 	mux.HandleFunc("DELETE /vbs/{digest}", g.handleDeleteVBS)
-	mux.HandleFunc("GET /stats", g.handleStats)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("POST /jobs", g.handleStartJob)
 	mux.HandleFunc("GET /jobs", g.handleListJobs)
@@ -616,6 +615,7 @@ func (g *Gateway) taskFromPath(w http.ResponseWriter, r *http.Request) (*gwTask,
 }
 
 func (g *Gateway) handleUnload(w http.ResponseWriter, r *http.Request) {
+	defer g.observeOp("unload", time.Now())
 	t, ok := g.taskFromPath(w, r)
 	if !ok {
 		return
@@ -650,6 +650,7 @@ func (g *Gateway) handleUnload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleRelocate(w http.ResponseWriter, r *http.Request) {
+	defer g.observeOp("relocate", time.Now())
 	t, ok := g.taskFromPath(w, r)
 	if !ok {
 		return
@@ -1175,116 +1176,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"nodes":  g.curRing().Len(),
 		"alive":  alive,
 	})
-}
-
-// ── stats ──────────────────────────────────────────────────────────
-
-// NodeStats is one node's occupancy inside the cluster stats block.
-type NodeStats struct {
-	NodeInfo
-	// Mode is the node's membership mode: "active" (on the ring) or
-	// "draining" (being emptied by the rebalancer before removal).
-	Mode string `json:"mode"`
-	// Reachable reports whether the stats scatter got an answer.
-	Reachable bool `json:"reachable"`
-	// Tasks / FreeMacros / StoreEntries / RepoBlobs summarize the
-	// node's occupancy (zero when unreachable).
-	Tasks        int    `json:"tasks"`
-	FreeMacros   int    `json:"free_macros"`
-	StoreEntries int    `json:"store_entries"`
-	RepoBlobs    int    `json:"repo_blobs"`
-	Loads        uint64 `json:"loads"`
-}
-
-// ClusterStats is the `cluster` block the gateway adds to /stats.
-type ClusterStats struct {
-	Nodes []NodeStats `json:"nodes"`
-	// RingVersion identifies the membership: gateways with equal
-	// versions route identically.
-	RingVersion string `json:"ring_version"`
-	// MembershipVersion counts runtime membership changes on this
-	// gateway (add, drain, remove) since boot.
-	MembershipVersion uint64 `json:"membership_version"`
-	Replicas          int    `json:"replicas"`
-	// GatewayTasks counts tasks loaded through this gateway.
-	GatewayTasks int `json:"gateway_tasks"`
-	// Traffic counters.
-	Proxied           uint64 `json:"proxied"`
-	Replicated        uint64 `json:"replicated"`
-	ReplicationFailed uint64 `json:"replication_failed"`
-	Failovers         uint64 `json:"failovers"`
-	ReadRepairs       uint64 `json:"read_repairs"`
-	RepairChecks      uint64 `json:"repair_checks"`
-	ScatterFallbacks  uint64 `json:"scatter_fallbacks"`
-	Scatters          uint64 `json:"scatters"`
-	// Retries counts extra per-hop attempts spent on transport-failure
-	// retries (gateway hops + registry probes).
-	Retries uint64 `json:"retries"`
-	// TombstoneSweeps counts deletes spread fleet-wide after a 410 was
-	// observed mid-repair or mid-rebalance.
-	TombstoneSweeps uint64 `json:"tombstone_sweeps"`
-	// Rebalance reports the background rebalancer's progress.
-	Rebalance RebalanceStats `json:"rebalance"`
-}
-
-// StatsResponse is the gateway's GET /stats body: its uptime and the
-// cluster block. Fleet totals live on each node's /stats and /metrics
-// and in the gateway's merged /fabrics; the gateway does not re-sum
-// them.
-type StatsResponse struct {
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	Cluster       ClusterStats `json:"cluster"`
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	g.scatters.Add(1)
-	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) (server.StatsResponse, error) {
-		return c.Stats(ctx)
-	})
-	byNode := map[string]*server.StatsResponse{}
-	for i := range res {
-		if res[i].err == nil {
-			byNode[res[i].node] = &res[i].val
-		}
-	}
-
-	out := StatsResponse{UptimeSeconds: time.Since(g.start).Seconds()}
-	draining := g.drainingSet()
-	for _, info := range g.reg.Snapshot() {
-		ns := NodeStats{NodeInfo: info, Mode: "active"}
-		if draining[info.Name] {
-			ns.Mode = "draining"
-		}
-		if st, ok := byNode[info.Name]; ok {
-			ns.Reachable = true
-			ns.Tasks = st.Tasks
-			ns.StoreEntries = st.Store.Entries
-			ns.RepoBlobs = st.Repo.Blobs
-			ns.Loads = st.Loads
-			for _, f := range st.Fabrics {
-				ns.FreeMacros += f.FreeMacros
-			}
-		}
-		out.Cluster.Nodes = append(out.Cluster.Nodes, ns)
-	}
-	g.mu.Lock()
-	out.Cluster.GatewayTasks = len(g.tasks)
-	g.mu.Unlock()
-	out.Cluster.RingVersion = ringVersionString(g.curRing())
-	out.Cluster.MembershipVersion = g.mshipVer.Load()
-	out.Cluster.Replicas = g.replicas
-	out.Cluster.Proxied = g.proxied.Load()
-	out.Cluster.Replicated = g.replicated.Load()
-	out.Cluster.ReplicationFailed = g.replicationFails.Load()
-	out.Cluster.Failovers = g.failovers.Load()
-	out.Cluster.ReadRepairs = g.readRepairs.Load()
-	out.Cluster.RepairChecks = g.repairChecks.Load()
-	out.Cluster.ScatterFallbacks = g.scatterFallbacks.Load()
-	out.Cluster.Scatters = g.scatters.Load()
-	out.Cluster.Retries = g.retries.Load() + g.reg.Retries()
-	out.Cluster.TombstoneSweeps = g.tombstoneSweeps.Load()
-	out.Cluster.Rebalance = g.reb.Stats()
-	writeJSON(w, http.StatusOK, out)
 }
 
 // ringVersionString renders the ring version as fixed-width hex.

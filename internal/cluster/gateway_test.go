@@ -3,9 +3,9 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -67,20 +67,22 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 		}
 	}
 
-	// The cluster stats block reflects the topology and traffic.
-	var st cluster.StatsResponse
-	raw, err := getJSON(cl, "/stats", &st)
+	// The membership listing and /metrics reflect the topology and
+	// traffic.
+	ms, err := cluster.NewAdmin(cl.Base()).Nodes(t.Context())
 	if err != nil {
-		t.Fatalf("stats: %v (%s)", err, raw)
+		t.Fatal(err)
 	}
-	if len(st.Cluster.Nodes) != 3 {
-		t.Fatalf("cluster stats list %d nodes", len(st.Cluster.Nodes))
+	if len(ms.Nodes) != 3 {
+		t.Fatalf("/cluster/nodes lists %d nodes", len(ms.Nodes))
 	}
-	if st.Cluster.Replicas != 2 || st.Cluster.RingVersion == "" {
-		t.Errorf("cluster block = %+v", st.Cluster)
+	if r := metricValue(t, cl.Base(), "vbs_cluster_replicas"); r != 2 || ms.RingVersion == "" {
+		t.Errorf("replicas = %v, ring version %q", r, ms.RingVersion)
 	}
-	if st.Cluster.Proxied == 0 || st.Cluster.Replicated == 0 {
-		t.Errorf("counters not advancing: %+v", st.Cluster)
+	proxied := metricValue(t, cl.Base(), "vbs_gateway_proxied_total")
+	replicated := metricValue(t, cl.Base(), "vbs_gateway_replicated_total")
+	if proxied == 0 || replicated == 0 {
+		t.Errorf("counters not advancing: proxied %v, replicated %v", proxied, replicated)
 	}
 
 	// A digest that was primaried on the killed node requires at
@@ -90,21 +92,6 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 		t.Fatalf("load after kill: %v", err)
 	}
 	_ = gw
-}
-
-// getJSON fetches a gateway endpoint into out directly (the plain
-// client API cannot see cluster-only fields).
-func getJSON(cl *server.Client, path string, out any) (string, error) {
-	resp, err := http.Get(cl.Base() + path)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), json.Unmarshal(raw, out)
 }
 
 // TestGatewayTaskLifecycle: list/relocate/unload proxy to the owning
@@ -268,15 +255,13 @@ func TestGatewayReadRepair(t *testing.T) {
 	// ReadRepairs is bumped only after the repair write returns, which
 	// can trail the owners already holding the blob: poll, don't read once.
 	for {
-		var st cluster.StatsResponse
-		if _, err := getJSON(cl, "/stats", &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Cluster.ScatterFallbacks > 0 && st.Cluster.ReadRepairs > 0 {
+		fallbacks := metricValue(t, cl.Base(), "vbs_gateway_scatter_fallbacks_total")
+		repairs := metricValue(t, cl.Base(), "vbs_gateway_read_repairs_total")
+		if fallbacks > 0 && repairs > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("repair counters = %+v", st.Cluster)
+			t.Fatalf("scatter fallbacks = %v, read repairs = %v", fallbacks, repairs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -414,5 +399,57 @@ func TestGatewayConcurrentLoads(t *testing.T) {
 	}
 	if len(tasks) != 0 {
 		t.Errorf("%d task(s) left after concurrent load/unload", len(tasks))
+	}
+}
+
+// TestGatewayNoStatsEndpoint: /metrics is the gateway's one counter
+// surface and GET /cluster/nodes its membership view, so GET /stats
+// is not routed.
+func TestGatewayNoStatsEndpoint(t *testing.T) {
+	cl, _, _ := newCluster(t, 1, 1, cluster.Options{Replicas: 1})
+	stats, err := url.JoinPath(cl.Base(), "stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestMembersCarryProbeHealth: each GET /cluster/nodes row carries the
+// registry's probe health. Once the probe loop has run, every member
+// has a last_probe_ms, and a killed member shows the failure.
+func TestMembersCarryProbeHealth(t *testing.T) {
+	cl, _, nodes := newCluster(t, 2, 1, cluster.Options{Replicas: 1, ProbeInterval: 20 * time.Millisecond})
+	admin := cluster.NewAdmin(cl.Base())
+	dead := nodes[1].url
+	nodes[1].kill()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ms, err := admin.Nodes(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		probed, failed := 0, false
+		for _, m := range ms.Nodes {
+			if m.LastProbeMS >= 0 {
+				probed++
+			}
+			if m.Name == dead && m.State != "alive" && m.LastError != "" {
+				failed = true
+			}
+		}
+		if probed == len(nodes) && failed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("members never showed probe health: %+v", ms.Nodes)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -273,3 +273,36 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayTimesUnloadAndRelocate: every op the gateway serves has a
+// latency series from boot, and one unload (and one relocate) through
+// the gateway counts exactly once.
+func TestGatewayTimesUnloadAndRelocate(t *testing.T) {
+	cl, _, _ := newCluster(t, 2, 1, cluster.Options{Replicas: 2})
+	ctx := t.Context()
+	samples, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"unload", "relocate"} {
+		if got, ok := metrics.Find(samples, "vbs_gateway_op_duration_seconds_count", map[string]string{"op": op}); !ok || got != 0 {
+			t.Errorf("op %s before traffic: count %v, exported %v; want 0, true", op, got, ok)
+		}
+	}
+
+	res, err := cl.Load(ctx, makeVBS(t, 6, 6), server.LoadRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Relocate(ctx, res.ID, 8, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Unload(ctx, res.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"unload", "relocate"} {
+		if got := metricValue(t, cl.Base(), "vbs_gateway_op_duration_seconds_count", "op", op); got != 1 {
+			t.Errorf("op %s count = %v after one %s, want 1", op, got, op)
+		}
+	}
+}

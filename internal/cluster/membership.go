@@ -22,22 +22,21 @@ import (
 // active node directly is the "it is already gone" path (the
 // rebalancer re-replicates from the surviving copies).
 
-// MemberInfo is one node in the membership listing.
+// MemberInfo is one node in the membership listing: its probe health
+// plus its membership mode.
 type MemberInfo struct {
-	Name string `json:"name"`
+	NodeInfo
 	// Mode is "active" (on the ring) or "draining" (registry-only,
 	// being emptied).
 	Mode string `json:"mode"`
-	// State is the probe-loop health: alive, suspect, down.
-	State string `json:"state"`
 }
 
 // MembershipResponse is the GET /cluster/nodes body.
 type MembershipResponse struct {
 	// Version counts membership changes on this gateway since boot.
 	Version uint64 `json:"version"`
-	// RingVersion identifies the active-member ring (see
-	// ClusterStats.RingVersion).
+	// RingVersion identifies the active-member ring: gateways with
+	// equal versions route identically.
 	RingVersion string       `json:"ring_version"`
 	Nodes       []MemberInfo `json:"nodes"`
 }
@@ -88,8 +87,8 @@ func (g *Gateway) bumpMembership(nr *Ring) {
 	g.reb.Kick()
 }
 
-// MembershipVersion returns the change count (see
-// ClusterStats.MembershipVersion).
+// MembershipVersion returns the count of membership changes (add,
+// drain, remove) on this gateway since boot.
 func (g *Gateway) MembershipVersion() uint64 { return g.mshipVer.Load() }
 
 // drainingSet snapshots the draining marks.
@@ -194,7 +193,7 @@ func (g *Gateway) Members() MembershipResponse {
 		if draining[info.Name] {
 			mode = "draining"
 		}
-		out.Nodes = append(out.Nodes, MemberInfo{Name: info.Name, Mode: mode, State: info.State})
+		out.Nodes = append(out.Nodes, MemberInfo{NodeInfo: info, Mode: mode})
 	}
 	return out
 }

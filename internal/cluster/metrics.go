@@ -8,9 +8,9 @@ import (
 	"repro/internal/transport"
 )
 
-// newGatewayMetrics builds the gateway's Prometheus registry. Every
-// exported value reads the same process-lifetime cumulative counters
-// GET /stats reports, so rate() over a scrape series is meaningful.
+// newGatewayMetrics builds the gateway's Prometheus registry, the
+// gateway's one counter surface. Every counter is process-lifetime
+// cumulative, so rate() over a scrape series is meaningful.
 // Called once from New; registration anywhere else is a wiring bug
 // (and flagged by the metricreg analyzer).
 func newGatewayMetrics(g *Gateway) *metrics.Registry {
@@ -21,7 +21,7 @@ func newGatewayMetrics(g *Gateway) *metrics.Registry {
 		nil, "op")
 	// Instantiate the known op labels so the family is scrapeable
 	// from boot, before any traffic arrives.
-	for _, op := range []string{"load", "vbs_get", "batch"} {
+	for _, op := range []string{"load", "vbs_get", "unload", "relocate", "batch"} {
 		g.opLat.With(op)
 	}
 

@@ -52,7 +52,8 @@ type Rebalancer struct {
 	aborted  atomic.Uint64
 }
 
-// RebalanceStats is the `rebalance` block inside the cluster stats.
+// RebalanceStats is the rebalancer's progress, the POST
+// /cluster/rebalance reply.
 type RebalanceStats struct {
 	// State is "disabled", "idle", or "running".
 	State string `json:"state"`

@@ -24,7 +24,7 @@ const (
 	Down
 )
 
-// String returns the lowercase state name served in /stats.
+// String returns the lowercase state name served in GET /cluster/nodes.
 func (s State) String() string {
 	switch s {
 	case Alive:
@@ -53,8 +53,8 @@ type node struct {
 	lastErr   string
 }
 
-// NodeInfo is a point-in-time snapshot of one node for the cluster
-// stats block.
+// NodeInfo is a point-in-time snapshot of one node's probe health,
+// served per member in GET /cluster/nodes.
 type NodeInfo struct {
 	Name  string `json:"name"`
 	State string `json:"state"`
@@ -82,7 +82,7 @@ type Registry struct {
 
 	// retryAttempts/retryBase configure per-probe transport retries
 	// (capped exponential backoff + jitter); retries counts the extra
-	// attempts for the gateway's `retries` stat.
+	// attempts for vbs_gateway_retries_total.
 	retryAttempts int
 	retryBase     time.Duration
 	retries       atomic.Uint64
@@ -345,7 +345,7 @@ func (r *Registry) Stop() {
 	}
 }
 
-// Snapshot returns per-node health for the cluster stats block, in
+// Snapshot returns per-node health for GET /cluster/nodes, in
 // configured order.
 func (r *Registry) Snapshot() []NodeInfo {
 	nodes := r.snapshot()

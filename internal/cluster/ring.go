@@ -14,8 +14,8 @@
 // → down transitions; reads fail over across the replica set (and
 // fall back to a full scatter for blobs imported out-of-band), writes
 // replicate through to R nodes, and replica misses are repaired on
-// read. Fleet-wide endpoints (GET /vbs, /tasks, /fabrics, /stats)
-// scatter-gather and merge, with a cluster block added to /stats.
+// read. Fleet-wide endpoints (GET /vbs, /tasks, /fabrics)
+// scatter-gather and merge.
 package cluster
 
 import (
@@ -190,8 +190,8 @@ func (r *Ring) WithoutNode(name string) *Ring {
 func (r *Ring) Len() int { return len(r.nodes) }
 
 // Version is a digest of the membership (names + vnode count): two
-// rings with equal Version route identically. It is reported in the
-// cluster stats block so operators can confirm gateways agree.
+// rings with equal Version route identically. GET /cluster/nodes
+// reports it so operators can confirm gateways agree.
 func (r *Ring) Version() uint64 {
 	h := sha256.New()
 	var buf [8]byte

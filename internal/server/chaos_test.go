@@ -11,7 +11,7 @@ import (
 // TestChaosFaultsEndpoint exercises the HTTP fault seam end-to-end:
 // arming FailPuts turns POST /vbs into the 500 "cannot persist vbs"
 // path (the signal a cluster gateway fails over on), clearing it
-// restores service, and the stats block reports the write error.
+// restores service, and /metrics reports the write error.
 func TestChaosFaultsEndpoint(t *testing.T) {
 	ctx := context.Background()
 	cl, _ := newTestDaemon(t, 1, 16, server.Options{
@@ -48,12 +48,8 @@ func TestChaosFaultsEndpoint(t *testing.T) {
 		t.Fatalf("HasVBS(absent) = %v, %v, want false, nil", ok, err)
 	}
 
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Repo.WriteErrors != 1 {
-		t.Fatalf("stats repo block: %+v, want WriteErrors=1", st.Repo)
+	if n := scrape(t, cl)("vbs_repo_write_errors_total"); n != 1 {
+		t.Fatalf("repo write errors = %v, want 1", n)
 	}
 }
 

@@ -180,13 +180,6 @@ func (c *Client) Fabrics(ctx context.Context) ([]FabricInfo, error) {
 	return out, err
 }
 
-// Stats fetches the daemon-wide counters.
-func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	var out StatsResponse
-	err := c.Do(ctx, http.MethodGet, "/stats", nil, &out)
-	return out, err
-}
-
 // Health probes GET /healthz, returning nil when the daemon answers
 // 200 within the context deadline.
 func (c *Client) Health(ctx context.Context) error {

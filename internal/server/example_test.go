@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -42,12 +43,18 @@ func Example_clientServer() {
 		panic(err)
 	}
 
-	st, err := cl.Stats(ctx)
+	samples, err := cl.Metrics(ctx)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("decodes: %d\n", st.Decodes)
-	fmt.Printf("tasks loaded: %d on %d fabrics\n", st.Tasks, len(st.Fabrics))
+	fabs, err := cl.Fabrics(ctx)
+	if err != nil {
+		panic(err)
+	}
+	decodes, _ := metrics.Find(samples, "vbs_decode_total", nil)
+	tasks, _ := metrics.Find(samples, "vbs_server_tasks", nil)
+	fmt.Printf("decodes: %g\n", decodes)
+	fmt.Printf("tasks loaded: %g on %d fabrics\n", tasks, len(fabs))
 	// Output:
 	// first load cached: false
 	// second load cached: true

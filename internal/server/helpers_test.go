@@ -10,6 +10,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/route"
@@ -87,4 +88,43 @@ func newTestDaemon(t *testing.T, fabrics, side int, opts server.Options) (*serve
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return server.NewClient(hs.URL, hs.Client()), srv
+}
+
+// scrape takes one /metrics snapshot of a daemon and returns a lookup
+// over it. labels are name, value pairs; an absent sample fails the
+// test.
+func scrape(t *testing.T, c *server.Client) func(name string, labels ...string) float64 {
+	t.Helper()
+	samples, err := c.Metrics(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(name string, labels ...string) float64 {
+		t.Helper()
+		want := map[string]string{}
+		for i := 0; i+1 < len(labels); i += 2 {
+			want[labels[i]] = labels[i+1]
+		}
+		v, ok := metrics.Find(samples, name, want)
+		if !ok {
+			t.Fatalf("metric %s%v not exported", name, want)
+		}
+		return v
+	}
+}
+
+// fabricTotals sums the per-fabric rows of GET /fabrics.
+func fabricTotals(t *testing.T, c *server.Client) controller.Stats {
+	t.Helper()
+	fabs, err := c.Fabrics(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum controller.Stats
+	for _, f := range fabs {
+		sum.Loads += f.Loads
+		sum.Unloads += f.Unloads
+		sum.Relocations += f.Relocations
+	}
+	return sum
 }

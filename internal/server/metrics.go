@@ -64,6 +64,8 @@ func newServerMetrics(s *Server) *metrics.Registry {
 		func() float64 { return float64(s.store.Len()) })
 	reg.GaugeFunc("vbs_store_bytes", "Bytes the RAM tier retains: containers plus their parsed form.",
 		func() float64 { return float64(s.store.Bytes()) })
+	reg.GaugeFunc("vbs_store_compression_ratio_mean", "Mean VBS-size/raw-size over RAM-tier blobs (the paper's Fig. 4 ratio; 0 when empty).",
+		func() float64 { return s.store.MeanCompressionRatio() })
 	reg.CounterFunc("vbs_store_demotions_total", "RAM evictions that left a blob disk-only.",
 		func() float64 { return float64(s.store.TierStats().Demotions) })
 	reg.CounterFunc("vbs_store_promotions_total", "RAM misses served by re-reading from disk.",
@@ -76,6 +78,8 @@ func newServerMetrics(s *Server) *metrics.Registry {
 			func() float64 { return float64(disk.Stats().Bytes) })
 		reg.GaugeFunc("vbs_repo_tombstones", "Live delete tombstones blocking re-admission.",
 			func() float64 { return float64(disk.Stats().Tombstones) })
+		reg.GaugeFunc("vbs_repo_recovered_blobs", "Blobs the boot recovery scan re-indexed.",
+			func() float64 { return float64(disk.Stats().Recovered) })
 		reg.CounterFunc("vbs_repo_reads_total", "Blob payloads served from disk.",
 			func() float64 { return float64(disk.Stats().Reads) })
 		reg.CounterFunc("vbs_repo_writes_total", "Blob payloads persisted to disk.",

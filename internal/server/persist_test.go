@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -58,17 +59,14 @@ func TestRestartRoundTrip(t *testing.T) {
 	if _, err := cl2.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatalf("load after restart: %v", err)
 	}
-	st, err := cl2.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Repo.Enabled || st.Repo.Blobs != 1 || st.Repo.Recovered != 1 {
-		t.Fatalf("repo stats after restart: %+v", st.Repo)
+	m := scrape(t, cl2)
+	if blobs, recovered := m("vbs_repo_blobs"), m("vbs_repo_recovered_blobs"); blobs != 1 || recovered != 1 {
+		t.Fatalf("repo after restart: %v blob(s), %v recovered, want 1, 1", blobs, recovered)
 	}
 }
 
 // TestCorruptBlobQuarantinedAtScan flips bits in a stored blob and
-// asserts the restarted daemon quarantines it, reports it in /stats,
+// asserts the restarted daemon quarantines it, reports it in /metrics,
 // and never serves it.
 func TestCorruptBlobQuarantinedAtScan(t *testing.T) {
 	dataDir := t.TempDir()
@@ -107,12 +105,9 @@ func TestCorruptBlobQuarantinedAtScan(t *testing.T) {
 	if _, err := cl2.GetVBS(t.Context(), resp.Digest); err == nil {
 		t.Fatal("corrupt blob was served")
 	}
-	st, err := cl2.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Repo.Quarantined != 1 || st.Repo.Blobs != 0 {
-		t.Fatalf("repo stats: %+v", st.Repo)
+	m := scrape(t, cl2)
+	if q, blobs := m("vbs_repo_quarantined_total"), m("vbs_repo_blobs"); q != 1 || blobs != 0 {
+		t.Fatalf("repo: %v quarantined, %v blob(s), want 1, 0", q, blobs)
 	}
 	if _, err := os.Stat(filepath.Join(dataDir, "quarantine", filepath.Base(blobPath))); err != nil {
 		t.Fatalf("blob not moved to quarantine: %v", err)
@@ -142,12 +137,8 @@ func TestEvictionFallsBackToDisk(t *testing.T) {
 	if _, err := cl.Load(t.Context(), b, server.LoadRequest{}); err != nil { // evicts a from RAM
 		t.Fatal(err)
 	}
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Repo.Demotions == 0 {
-		t.Fatalf("expected a demotion, stats: %+v", st.Repo)
+	if n := scrape(t, cl)("vbs_store_demotions_total"); n == 0 {
+		t.Fatal("expected a demotion")
 	}
 	got, err := cl.GetVBS(t.Context(), ra.Digest)
 	if err != nil || !bytes.Equal(got, a) {
@@ -209,12 +200,12 @@ func TestVBSEndpointsWithoutDataDir(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("RAM-only GetVBS: %v", err)
 	}
-	st, err := cl.Stats(t.Context())
+	samples, err := cl.Metrics(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Repo.Enabled {
-		t.Fatalf("repo reported enabled without a data dir: %+v", st.Repo)
+	if _, ok := metrics.Find(samples, "vbs_repo_blobs", nil); ok {
+		t.Fatal("repo metrics exported without a data dir")
 	}
 	if err := cl.DeleteVBS(t.Context(), "zz-not-a-digest"); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("bad digest: %v", err)
@@ -250,14 +241,11 @@ func TestWarmDecodedStreamsFromDisk(t *testing.T) {
 	if !resp.Cached {
 		t.Fatal("first load after warm-up missed the decoded cache")
 	}
-	st, err := cl2.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Satellite check: the decoded-cache counters are visible in
-	// /stats and reflect the traffic — one miss from the warm-up
-	// decode, at least one hit from the load that followed.
-	if st.Cache.Entries != 1 || st.Cache.Hits == 0 || st.Cache.Misses == 0 {
-		t.Fatalf("cache stats not exposed or wrong: %+v", st.Cache)
+	// The decoded-cache counters are visible in /metrics and reflect
+	// the traffic — one miss from the warm-up decode, at least one hit
+	// from the load that followed.
+	m := scrape(t, cl2)
+	if entries, hits, misses := m("vbs_cache_entries"), m("vbs_cache_hits_total"), m("vbs_cache_misses_total"); entries != 1 || hits == 0 || misses == 0 {
+		t.Fatalf("cache: %v entries, %v hits, %v misses", entries, hits, misses)
 	}
 }

@@ -27,7 +27,7 @@
 //	GET    /vbs                  list stored blobs (both tiers)
 //	GET    /vbs/{digest}         raw container download
 //	DELETE /vbs/{digest}         drop a blob (409 while tasks reference it)
-//	GET    /stats                counters, cache, repo and latency figures
+//	GET    /metrics              Prometheus counters, gauges and latency histograms
 //	GET    /healthz              liveness probe
 //
 // With Options.DataDir set, the store gains a persistent
@@ -120,9 +120,6 @@ type Server struct {
 	pending map[store.Digest]int
 
 	decodes      atomic.Uint64
-	loadCount    atomic.Uint64
-	loadNanos    atomic.Int64
-	loadMax      atomic.Int64
 	compactions  atomic.Uint64
 	compactMoved atomic.Uint64
 	retryLoads   atomic.Uint64
@@ -199,7 +196,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleGetJob)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleAbortJob)
 	mux.Handle("GET /metrics", s.metrics)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -270,15 +266,13 @@ func DecodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v an
 	return true
 }
 
-// writePutError reports a store.Put failure: disk-tier I/O failures
-// are the server's fault — 500, worded as such, and a cluster
-// gateway fails the load over to another node — while a tombstone
-// refusal is 410 Gone (the digest was deleted; automated copiers must
-// not resurrect it) and everything else is a malformed container,
-// 400.
 // putError maps a store admission failure to an HTTP status and
-// message — shared by the JSON handlers and the stream/batch paths so
-// every transport speaks the same error vocabulary.
+// message, shared by the JSON handlers and the stream/batch paths so
+// every transport speaks the same error vocabulary: a disk-tier I/O
+// failure is the server's fault (500, and a cluster gateway fails the
+// load over to another node), a tombstone refusal is 410 Gone (the
+// digest was deleted; automated copiers must not resurrect it), and
+// anything else is a malformed container (400).
 func putError(err error) (int, string) {
 	if errors.Is(err, repo.ErrTombstoned) {
 		return http.StatusGone, fmt.Sprintf("vbs deleted: %v", err)
@@ -287,11 +281,6 @@ func putError(err error) (int, string) {
 		return http.StatusInternalServerError, fmt.Sprintf("cannot persist vbs: %v", err)
 	}
 	return http.StatusBadRequest, fmt.Sprintf("bad vbs container: %v", err)
-}
-
-func writePutError(w http.ResponseWriter, err error) {
-	status, msg := putError(err)
-	writeError(w, status, "%s", msg)
 }
 
 // observe records one operation's latency on the op histogram —
@@ -458,15 +447,6 @@ func (s *Server) loadOne(begin time.Time, data []byte, req LoadRequest) (LoadRes
 	s.mu.Unlock()
 
 	elapsed := time.Since(begin)
-	s.loadCount.Add(1)
-	s.loadNanos.Add(int64(elapsed))
-	for {
-		cur := s.loadMax.Load()
-		if int64(elapsed) <= cur || s.loadMax.CompareAndSwap(cur, int64(elapsed)) {
-			break
-		}
-	}
-
 	return LoadResponse{
 		ID:               id,
 		Fabric:           onIndex,
@@ -867,6 +847,9 @@ func (s *Server) handleTombstones(w http.ResponseWriter, r *http.Request) {
 // admission path; usually a no-op).
 func (s *Server) Flush() error { return s.store.Flush() }
 
+// Policy names the daemon's default placement policy.
+func (s *Server) Policy() string { return s.policy.Name() }
+
 // RecoveryReport returns the disk tier's boot recovery scan (zero
 // without a data dir).
 func (s *Server) RecoveryReport() repo.ScanReport {
@@ -874,73 +857,4 @@ func (s *Server) RecoveryReport() repo.ScanReport {
 		return disk.ScanReport()
 	}
 	return repo.ScanReport{}
-}
-
-// Stats assembles the daemon-wide snapshot served at /stats.
-func (s *Server) Stats() StatsResponse {
-	s.mu.Lock()
-	nTasks := len(s.tasks)
-	s.mu.Unlock()
-	cs := s.cache.Stats()
-	var loads, unloads, relocs uint64
-	for _, c := range s.ctrls {
-		st := c.Stats()
-		loads += st.Loads
-		unloads += st.Unloads
-		relocs += st.Relocations
-	}
-	lat := LatencyStats{Count: s.loadCount.Load()}
-	if lat.Count > 0 {
-		lat.MeanMS = float64(s.loadNanos.Load()) / float64(lat.Count) / float64(time.Millisecond)
-		lat.MaxMS = float64(s.loadMax.Load()) / float64(time.Millisecond)
-	}
-	tiers := s.store.TierStats()
-	ri := RepoInfo{Demotions: tiers.Demotions, Promotions: tiers.Promotions}
-	if disk := s.store.Disk(); disk != nil {
-		ds := disk.Stats()
-		ri.Enabled = true
-		ri.Blobs = ds.Blobs
-		ri.Bytes = ds.Bytes
-		ri.Recovered = ds.Recovered
-		ri.Quarantined = ds.Quarantined
-		ri.Reads = ds.Reads
-		ri.Writes = ds.Writes
-		ri.WriteErrors = ds.WriteErrors
-		ri.ReadErrors = ds.ReadErrors
-		ri.Tombstones = ds.Tombstones
-	}
-	return StatsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Tasks:         nTasks,
-		Loads:         loads,
-		Unloads:       unloads,
-		Relocations:   relocs,
-		Decodes:       s.decodes.Load(),
-		LoadLatency:   lat,
-		Placement: PlacementInfo{
-			Policy:         s.policy.Name(),
-			Compactions:    s.compactions.Load(),
-			TasksMoved:     s.compactMoved.Load(),
-			RetrySuccesses: s.retryLoads.Load(),
-		},
-		Cache: CacheInfo{
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Evictions: cs.Evictions,
-			Entries:   cs.Entries,
-			UsedBits:  cs.Used,
-			CapBits:   cs.Capacity,
-		},
-		Store: StoreInfo{
-			Entries:              s.store.Len(),
-			Bytes:                s.store.Bytes(),
-			MeanCompressionRatio: s.store.MeanCompressionRatio(),
-		},
-		Repo:    ri,
-		Fabrics: s.fabricInfos(),
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -66,18 +67,17 @@ func TestLoadUnloadRelocate(t *testing.T) {
 		t.Errorf("double unload error = %v", err)
 	}
 
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
+	if n := scrape(t, cl)("vbs_server_tasks"); n != 0 {
+		t.Errorf("tasks = %v after unload", n)
 	}
-	if st.Tasks != 0 || st.Loads != 1 || st.Unloads != 1 || st.Relocations != 1 {
-		t.Errorf("stats = %+v", st)
+	if sum := fabricTotals(t, cl); sum.Loads != 1 || sum.Unloads != 1 || sum.Relocations != 1 {
+		t.Errorf("fabric totals = %+v", sum)
 	}
 }
 
 // TestRepeatedLoadHitsCache is the acceptance scenario: a second load
 // of the same container must come from the decoded-bitstream cache,
-// observable through /stats.
+// observable through /metrics.
 func TestRepeatedLoadHitsCache(t *testing.T) {
 	cl, _ := newTestDaemon(t, 2, 16, server.Options{})
 	data, err := makeVBS(2, 12, 4, 8, 1).Encode()
@@ -103,21 +103,19 @@ func TestRepeatedLoadHitsCache(t *testing.T) {
 		t.Error("content addressing returned different digests")
 	}
 
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, cl)
+	if n := m("vbs_decode_total"); n != 1 {
+		t.Errorf("decodes = %v, want 1 (second load must skip decode)", n)
 	}
-	if st.Decodes != 1 {
-		t.Errorf("decodes = %d, want 1 (second load must skip decode)", st.Decodes)
+	if hits, misses := m("vbs_cache_hits_total"), m("vbs_cache_misses_total"); hits < 1 || misses != 1 {
+		t.Errorf("cache hits=%v misses=%v", hits, misses)
 	}
-	if st.Cache.Hits < 1 || st.Cache.Misses != 1 {
-		t.Errorf("cache hits=%d misses=%d", st.Cache.Hits, st.Cache.Misses)
+	if n := m("vbs_store_entries"); n != 1 {
+		t.Errorf("store entries = %v, want 1 (identical containers deduplicate)", n)
 	}
-	if st.Store.Entries != 1 {
-		t.Errorf("store entries = %d, want 1 (identical containers deduplicate)", st.Store.Entries)
-	}
-	if st.LoadLatency.Count != 2 || st.LoadLatency.MaxMS < st.LoadLatency.MeanMS {
-		t.Errorf("latency stats = %+v", st.LoadLatency)
+	if n, sum := m("vbs_server_op_duration_seconds_count", "op", "load"),
+		m("vbs_server_op_duration_seconds_sum", "op", "load"); n != 2 || sum <= 0 {
+		t.Errorf("load latency count = %v, sum = %vs", n, sum)
 	}
 }
 
@@ -174,25 +172,26 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, cl)
+	if n := m("vbs_server_tasks"); n != 0 {
+		t.Errorf("tasks = %v after all unloads", n)
 	}
-	if st.Tasks != 0 {
-		t.Errorf("tasks = %d after all unloads", st.Tasks)
+	if sum := fabricTotals(t, cl); sum.Loads != sum.Unloads {
+		t.Errorf("loads %d != unloads %d", sum.Loads, sum.Unloads)
 	}
-	if st.Loads != st.Unloads {
-		t.Errorf("loads %d != unloads %d", st.Loads, st.Unloads)
-	}
-	if st.Store.Entries != len(containers) {
-		t.Errorf("store entries = %d", st.Store.Entries)
+	if n := m("vbs_store_entries"); n != float64(len(containers)) {
+		t.Errorf("store entries = %v", n)
 	}
 	// Decodes must not exceed distinct containers: everything else is
 	// cache or singleflight.
-	if st.Decodes > uint64(len(containers)) {
-		t.Errorf("decodes = %d, want <= %d", st.Decodes, len(containers))
+	if n := m("vbs_decode_total"); n > float64(len(containers)) {
+		t.Errorf("decodes = %v, want <= %d", n, len(containers))
 	}
-	for _, f := range st.Fabrics {
+	fabs, err := cl.Fabrics(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fabs {
 		if f.FreeMacros != f.TotalMacros {
 			t.Errorf("fabric %d not empty: %d/%d free", f.Index, f.FreeMacros, f.TotalMacros)
 		}
@@ -314,8 +313,8 @@ func (f fillReader) Read(p []byte) (int, error) {
 
 // TestDecodesCountedOnTheNode: a cold load decodes once, and that count
 // lives on the node. Fabrics never decode — the server does, through
-// its cache — so no fabric row on /stats or /fabrics carries a
-// decodes field (they used to report a constant 0).
+// its cache — so no fabric row on /fabrics carries a decodes field
+// (they used to report a constant 0).
 func TestDecodesCountedOnTheNode(t *testing.T) {
 	cl, _ := newTestDaemon(t, 2, 16, server.Options{})
 	data, err := makeVBS(3, 10, 4, 8, 1).Encode()
@@ -325,31 +324,22 @@ func TestDecodesCountedOnTheNode(t *testing.T) {
 	if _, err := cl.Load(t.Context(), data, server.LoadRequest{}); err != nil {
 		t.Fatal(err)
 	}
-	get := func(path string, out any) {
-		t.Helper()
-		resp, err := http.Get(cl.Base() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+	if n := scrape(t, cl)("vbs_decode_total"); n != 1 {
+		t.Errorf("node decodes = %v after one cold load, want 1", n)
 	}
-	var st struct {
-		Decodes uint64           `json:"decodes"`
-		Fabrics []map[string]any `json:"fabrics"`
+	resp, err := http.Get(cl.Base() + "/fabrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	get("/stats", &st)
+	defer resp.Body.Close()
 	var fabs []map[string]any
-	get("/fabrics", &fabs)
-	if st.Decodes != 1 {
-		t.Errorf("node decodes = %d after one cold load, want 1", st.Decodes)
+	if err := json.NewDecoder(resp.Body).Decode(&fabs); err != nil {
+		t.Fatal(err)
 	}
-	if len(st.Fabrics) != 2 || len(fabs) != 2 {
-		t.Fatalf("fabric rows: /stats %d, /fabrics %d, want 2", len(st.Fabrics), len(fabs))
+	if len(fabs) != 2 {
+		t.Fatalf("/fabrics lists %d rows, want 2", len(fabs))
 	}
-	for _, f := range append(st.Fabrics, fabs...) {
+	for _, f := range fabs {
 		for _, key := range []string{"decodes", "decode_ns"} {
 			if v, ok := f[key]; ok {
 				t.Errorf("fabric %v carries %s = %v", f["index"], key, v)
@@ -529,7 +519,7 @@ func fragmentedDaemon(t *testing.T) (*server.Client, *server.Server, []byte) {
 }
 
 // TestAutoCompactionRetry: a load that no fabric admits must trigger
-// compaction and succeed on the retry, with the stats counters
+// compaction and succeed on the retry, with the placement counters
 // recording it.
 func TestAutoCompactionRetry(t *testing.T) {
 	cl, _, data := fragmentedDaemon(t)
@@ -540,21 +530,18 @@ func TestAutoCompactionRetry(t *testing.T) {
 	if !res.Compacted {
 		t.Error("load did not report the compaction retry")
 	}
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, cl)
+	if n := m("vbs_compactions_total"); n != 1 {
+		t.Errorf("compactions = %v, want 1", n)
 	}
-	if st.Placement.Compactions != 1 {
-		t.Errorf("Compactions = %d, want 1", st.Placement.Compactions)
+	if n := m("vbs_compaction_moved_total"); n == 0 {
+		t.Error("tasks moved = 0 after a compaction that made room")
 	}
-	if st.Placement.TasksMoved == 0 {
-		t.Error("TasksMoved = 0 after a compaction that made room")
+	if n := m("vbs_load_retries_total"); n != 1 {
+		t.Errorf("retry successes = %v, want 1", n)
 	}
-	if st.Placement.RetrySuccesses != 1 {
-		t.Errorf("RetrySuccesses = %d, want 1", st.Placement.RetrySuccesses)
-	}
-	if st.Tasks != 4 {
-		t.Errorf("Tasks = %d, want 4", st.Tasks)
+	if n := m("vbs_server_tasks"); n != 4 {
+		t.Errorf("tasks = %v, want 4", n)
 	}
 }
 
@@ -582,26 +569,19 @@ func TestExplicitCompact(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "404") {
 		t.Errorf("out-of-range compact error = %v, want 404", err)
 	}
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Placement.Compactions != 1 || st.Placement.RetrySuccesses != 0 {
-		t.Errorf("placement stats = %+v", st.Placement)
+	m := scrape(t, cl)
+	if c, r := m("vbs_compactions_total"), m("vbs_load_retries_total"); c != 1 || r != 0 {
+		t.Errorf("compactions = %v, retry successes = %v, want 1, 0", c, r)
 	}
 }
 
 // TestPolicySelection: the policy request field steers placement and
-// unknown names are rejected; the server-wide default is reported in
-// /stats.
+// unknown names are rejected; the server reports its default (vbsd
+// logs it at boot).
 func TestPolicySelection(t *testing.T) {
-	cl, _ := newTestDaemon(t, 2, 16, server.Options{Policy: "first-fit"})
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Placement.Policy != "first-fit" {
-		t.Errorf("default policy = %q", st.Placement.Policy)
+	cl, srv := newTestDaemon(t, 2, 16, server.Options{Policy: "first-fit"})
+	if p := srv.Policy(); p != "first-fit" {
+		t.Errorf("default policy = %q", p)
 	}
 	data, err := makeVBS(1, 12, 4, 8, 1).Encode()
 	if err != nil {
@@ -731,12 +711,9 @@ func TestNoCompactionOnStructuralFailure(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "409") {
 		t.Fatalf("mismatch error = %v, want 409", err)
 	}
-	st, err := cl.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Placement.Compactions != 0 || st.Placement.TasksMoved != 0 {
-		t.Errorf("structural failure triggered compaction: %+v", st.Placement)
+	m := scrape(t, cl)
+	if c, moved := m("vbs_compactions_total"), m("vbs_compaction_moved_total"); c != 0 || moved != 0 {
+		t.Errorf("structural failure triggered compaction: %v run(s), %v moved", c, moved)
 	}
 	// The loaded task was not shuffled.
 	tasks, err := cl.Tasks(t.Context())
@@ -745,5 +722,23 @@ func TestNoCompactionOnStructuralFailure(t *testing.T) {
 	}
 	if len(tasks) != 1 || tasks[0].X != res.X || tasks[0].Y != res.Y {
 		t.Errorf("tasks after refused load = %+v", tasks)
+	}
+}
+
+// TestNoStatsEndpoint: /metrics is the daemon's one counter surface,
+// so GET /stats is not routed.
+func TestNoStatsEndpoint(t *testing.T) {
+	cl, _ := newTestDaemon(t, 1, 16, server.Options{})
+	stats, err := url.JoinPath(cl.Base(), "stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats: status %d, want 404", resp.StatusCode)
 	}
 }

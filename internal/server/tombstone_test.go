@@ -44,9 +44,8 @@ func TestTombstoneHTTPSemantics(t *testing.T) {
 	if err != nil || len(ts) != 1 || ts[0].Digest != put.Digest {
 		t.Fatalf("Tombstones = %+v, %v; want one entry for %s", ts, err, put.Digest[:12])
 	}
-	st, err := c.Stats(ctx)
-	if err != nil || st.Repo.Tombstones != 1 {
-		t.Fatalf("stats repo.tombstones = %d, %v; want 1", st.Repo.Tombstones, err)
+	if n := scrape(t, c)("vbs_repo_tombstones"); n != 1 {
+		t.Fatalf("repo tombstones = %v, want 1", n)
 	}
 
 	// Deleting an absent digest still records a tombstone: a gateway

@@ -164,58 +164,6 @@ type FabricInfo struct {
 	controller.Stats
 }
 
-// LatencyStats summarizes server-side load latency.
-type LatencyStats struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// CacheInfo mirrors store.CacheStats on the wire.
-type CacheInfo struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	UsedBits  int64  `json:"used_bits"`
-	CapBits   int64  `json:"cap_bits"`
-}
-
-// StoreInfo describes the content-addressed store in GET /stats.
-type StoreInfo struct {
-	Entries              int     `json:"entries"`
-	Bytes                int     `json:"bytes"`
-	MeanCompressionRatio float64 `json:"mean_compression_ratio"`
-}
-
-// RepoInfo describes the persistent blob tier in GET /stats. All
-// fields but Enabled are zero when the daemon runs without -data-dir.
-type RepoInfo struct {
-	// Enabled reports whether a disk tier is attached.
-	Enabled bool `json:"enabled"`
-	// Blobs / Bytes describe the on-disk index.
-	Blobs int   `json:"blobs"`
-	Bytes int64 `json:"bytes"`
-	// Demotions counts RAM evictions that left a blob disk-only;
-	// Promotions counts RAM misses served by re-reading from disk.
-	Demotions  uint64 `json:"demotions"`
-	Promotions uint64 `json:"promotions"`
-	// Recovered / Quarantined report the boot recovery scan plus any
-	// read-time verification failures since.
-	Recovered   int `json:"recovered"`
-	Quarantined int `json:"quarantined"`
-	// Reads / Writes count blob payloads served from and persisted to
-	// disk since boot.
-	Reads  uint64 `json:"reads"`
-	Writes uint64 `json:"writes"`
-	// WriteErrors / ReadErrors count failed disk puts and failed
-	// non-corrupt disk gets (corrupt reads count under Quarantined).
-	WriteErrors uint64 `json:"write_errors"`
-	ReadErrors  uint64 `json:"read_errors"`
-	// Tombstones counts live delete tombstones blocking re-admission.
-	Tombstones int `json:"tombstones"`
-}
-
 // TombstoneInfo describes one live delete tombstone in
 // GET /tombstones.
 type TombstoneInfo struct {
@@ -247,35 +195,6 @@ type VBSInfo struct {
 	// Replicas counts cluster nodes holding the blob (cluster gateway
 	// only; zero on a single daemon).
 	Replicas int `json:"replicas,omitempty"`
-}
-
-// PlacementInfo summarizes the placement engine in GET /stats.
-type PlacementInfo struct {
-	// Policy is the server's default placement policy.
-	Policy string `json:"policy"`
-	// Compactions counts Compact runs (explicit and auto-retry).
-	Compactions uint64 `json:"compactions"`
-	// TasksMoved counts tasks relocated by those compactions.
-	TasksMoved uint64 `json:"tasks_moved"`
-	// RetrySuccesses counts loads that only succeeded after the
-	// auto-compaction retry.
-	RetrySuccesses uint64 `json:"retry_successes"`
-}
-
-// StatsResponse is the body of GET /stats.
-type StatsResponse struct {
-	UptimeSeconds float64       `json:"uptime_seconds"`
-	Tasks         int           `json:"tasks"`
-	Loads         uint64        `json:"loads"`
-	Unloads       uint64        `json:"unloads"`
-	Relocations   uint64        `json:"relocations"`
-	Decodes       uint64        `json:"decodes"`
-	LoadLatency   LatencyStats  `json:"load_latency"`
-	Placement     PlacementInfo `json:"placement"`
-	Cache         CacheInfo     `json:"cache"`
-	Store         StoreInfo     `json:"store"`
-	Repo          RepoInfo      `json:"repo"`
-	Fabrics       []FabricInfo  `json:"fabrics"`
 }
 
 // errorResponse is the body of every non-2xx reply.

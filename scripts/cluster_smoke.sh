@@ -113,15 +113,15 @@ for i in 1 2 3 4; do
   cmp "$work/task$i.vbs" "$work/rt$i.vbs"
 done
 
-echo "== cluster stats block"
-stats=$(curl -fsS "http://$gwaddr/stats")
-case "$stats" in
-  *'"replicas":2'*) ;;
-  *) echo "FAIL: /stats cluster block missing replicas: $stats" >&2; exit 1 ;;
-esac
-case "$stats" in
+echo "== replication factor and ring version"
+grep -qx 'vbs_cluster_replicas 2' <<<"$(curl -fsS "http://$gwaddr/metrics")" || {
+  echo "FAIL: gateway /metrics does not report 2 replicas" >&2
+  exit 1
+}
+members=$(curl -fsS "http://$gwaddr/cluster/nodes")
+case "$members" in
   *'"ring_version":"'*) ;;
-  *) echo "FAIL: /stats cluster block missing ring_version" >&2; exit 1 ;;
+  *) echo "FAIL: /cluster/nodes missing ring_version: $members" >&2; exit 1 ;;
 esac
 
 echo "== /metrics exposition on the gateway and a node"
@@ -198,15 +198,14 @@ case "$members" in
   *) echo "FAIL: membership does not list http://$join_addr" >&2; exit 1 ;;
 esac
 "$work/bin/vbsgw" rebalance -gw "http://$gwaddr"
-stats=$(curl -fsS "http://$gwaddr/stats")
-case "$stats" in
-  *'"membership_version":1'*) ;;
-  *) echo "FAIL: /stats cluster block missing membership_version 1: $stats" >&2; exit 1 ;;
+case "$(curl -fsS "http://$gwaddr/cluster/nodes")" in
+  *'"version":1,'*) ;;
+  *) echo "FAIL: /cluster/nodes does not report membership version 1" >&2; exit 1 ;;
 esac
-case "$stats" in
-  *'"rebalance":{'*) ;;
-  *) echo "FAIL: /stats cluster block missing rebalance progress" >&2; exit 1 ;;
-esac
+grep -q '^vbs_rebalance_blobs_examined_total ' <<<"$(curl -fsS "http://$gwaddr/metrics")" || {
+  echo "FAIL: gateway /metrics missing rebalance progress" >&2
+  exit 1
+}
 
 echo "== graceful gateway shutdown"
 kill "$gwpid"

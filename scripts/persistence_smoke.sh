@@ -59,11 +59,11 @@ pid=""
 
 echo "== second boot: recover from disk"
 start_vbsd
-stats=$(curl -fsS "http://$addr/stats")
-case "$stats" in
-  *'"recovered":1'*) ;;
-  *) echo "FAIL: /stats does not report one recovered blob: $stats" >&2; exit 1 ;;
-esac
+metrics=$(curl -fsS "http://$addr/metrics")
+grep -qx 'vbs_repo_recovered_blobs 1' <<<"$metrics" || {
+  echo "FAIL: /metrics does not report one recovered blob: $(grep vbs_repo_recovered <<<"$metrics")" >&2
+  exit 1
+}
 
 curl -fsS "http://$addr/vbs" | grep -q "$digest" || {
   echo "FAIL: /vbs listing lost the blob" >&2
@@ -93,10 +93,10 @@ if [ "$nblobs" -ne 1 ]; then
   echo "FAIL: expected 1 stored blob after re-load, found $nblobs" >&2
   exit 1
 fi
-case "$(curl -fsS "http://$addr/stats")" in
-  *'"writes":0'*) ;;
-  *) echo "FAIL: re-load wrote to disk instead of reusing the recovered blob" >&2; exit 1 ;;
-esac
+grep -qx 'vbs_repo_writes_total 0' <<<"$(curl -fsS "http://$addr/metrics")" || {
+  echo "FAIL: re-load wrote to disk instead of reusing the recovered blob" >&2
+  exit 1
+}
 
 kill "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
