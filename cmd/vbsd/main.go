@@ -168,7 +168,8 @@ func main() {
 		}
 	}()
 
-	log.Printf("vbsd: serving %d %dx%d fabric(s) (W=%d, K=%d, policy %s) on %s", *nFabrics, gw, gh, *w, *k, srv.Policy(), *addr)
+	log.Printf("vbsd: serving %d %dx%d fabric(s) (W=%d, K=%d, policy %s) on %s, instance %d",
+		*nFabrics, gw, gh, *w, *k, srv.Policy(), *addr, srv.Instance())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("vbsd: %v", err)
 	}

@@ -12,17 +12,19 @@
 // replica set (falling back to a full scatter for blobs imported
 // out-of-band) and heal missing replicas on the way (read-repair).
 // Fleet-wide listings (GET /vbs, /tasks, /fabrics) scatter-gather and
-// merge; GET /cluster/nodes lists each member's mode and probe health
-// with the ring version, and every gateway counter is on GET /metrics
-// — fleet totals stay on the nodes.
+// merge; GET /cluster/nodes lists each member's mode, probe health and
+// boot instance with the ring version, and every gateway counter is on
+// GET /metrics — fleet totals stay on the nodes.
+// The gateway keeps no task state: task ids pass through as their node
+// minted them and route by the node's boot instance in the high bits,
+// so a restarted or second gateway names every task the same way.
 //
 // Membership is elastic at runtime; a background rebalancer converges
 // blob placement after every change — every pass is a Job (POST /jobs
 // {"kind":"rebalance"} starts one by hand, DELETE /jobs/{id} aborts a
 // pass mid-flight). Fleet-wide maintenance kinds (scrub,
 // tombstone-sweep, warm) fan out to every node and scatter-gather
-// their progress; "reconcile" re-syncs the gateway task table against
-// the nodes' own listings. GET /metrics exposes Prometheus text —
+// their progress. GET /metrics exposes Prometheus text —
 // gateway op latency histograms, cluster gauges, rebalance counters,
 // job progress. Replication, repair copies and batch fan-out ride one
 // persistent frame stream per node, falling back to per-call HTTP

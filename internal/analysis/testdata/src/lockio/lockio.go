@@ -40,7 +40,8 @@ func (s *svc) diskUnderReadLock() error {
 func (s *svc) clientUnderLock(ctx context.Context, cl *server.Client) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return cl.Health(ctx) // want `mutex s\.mu held across blocking call to server\.Client\.Health \(HTTP\)`
+	_, err := cl.Health(ctx) // want `mutex s\.mu held across blocking call to server\.Client\.Health \(HTTP\)`
+	return err
 }
 
 func (s *svc) repoUnderLock(r *repo.Repo) ([]byte, error) {

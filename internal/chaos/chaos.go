@@ -4,9 +4,11 @@
 // must converge. The split follows aistore's soaktest model:
 //
 //   - primitives (primitives.go) inject raw faults — process kill and
-//     restart, repo I/O error injection, on-disk blob corruption;
+//     restart, repo I/O error injection, on-disk blob corruption, and
+//     (Fleet.RestartGateway) a gateway crash and restart;
 //   - recipes (recipes.go) sequence primitives into named scenarios
-//     (nodekill, diskfull, corruptblob, churn);
+//     (nodekill, diskfull, corruptblob, churn, nodeadd, drain,
+//     gwrestart);
 //   - conditions (conditions.go) judge the aftermath — every acked
 //     blob retrievable byte-identical, replica counts back at R, no
 //     orphaned fabric occupancy, no task resurrection, /metrics

@@ -64,6 +64,19 @@ func TestRecipeCorruptBlob(t *testing.T) { runRecipe(t, "corruptblob") }
 func TestRecipeChurn(t *testing.T)       { runRecipe(t, "churn") }
 func TestRecipeDrain(t *testing.T)       { runRecipe(t, "drain") }
 
+// TestRecipeGwRestart: a gateway crash and restart mid-traffic loses
+// no task id — the new gateway lists and unloads every one the
+// workload held.
+func TestRecipeGwRestart(t *testing.T) {
+	rep := runRecipe(t, "gwrestart")
+	for _, c := range rep.Conditions {
+		if c.Name == "held-tasks-unload" {
+			return
+		}
+	}
+	t.Fatalf("recipe gwrestart did not register condition held-tasks-unload: %+v", rep.Conditions)
+}
+
 // TestRecipeNodeAdd is the acceptance scenario for elastic
 // membership: SIGKILL one node and join a fresh one under live load —
 // replica counts must converge back to R, with zero invariant
@@ -84,7 +97,7 @@ func TestRecipeNodeAdd(t *testing.T) {
 }
 
 func TestRecipeRegistry(t *testing.T) {
-	want := []string{"churn", "corruptblob", "diskfull", "drain", "nodeadd", "nodekill"}
+	want := []string{"churn", "corruptblob", "diskfull", "drain", "gwrestart", "nodeadd", "nodekill"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -117,8 +130,9 @@ func TestLocalNodeKillRestart(t *testing.T) {
 	n := f.Nodes[0]
 	ctx := context.Background()
 
-	if err := n.Client().Health(ctx); err != nil {
-		t.Fatalf("healthy node: %v", err)
+	inst, err := n.Client().Health(ctx)
+	if err != nil || inst == 0 {
+		t.Fatalf("healthy node: instance %d, %v", inst, err)
 	}
 	if err := n.Kill(); err != nil {
 		t.Fatalf("Kill: %v", err)
@@ -126,7 +140,7 @@ func TestLocalNodeKillRestart(t *testing.T) {
 	if n.Alive() {
 		t.Fatal("killed node reports alive")
 	}
-	if err := n.Client().Health(ctx); err == nil {
+	if _, err := n.Client().Health(ctx); err == nil {
 		t.Fatal("killed node still answers")
 	}
 	url := n.URL()
@@ -136,7 +150,7 @@ func TestLocalNodeKillRestart(t *testing.T) {
 	if n.URL() != url {
 		t.Fatalf("restart changed URL: %s -> %s", url, n.URL())
 	}
-	if err := n.Client().Health(ctx); err != nil {
-		t.Fatalf("restarted node: %v", err)
+	if again, err := n.Client().Health(ctx); err != nil || again == inst {
+		t.Fatalf("restarted node: instance %d (was %d), %v", again, inst, err)
 	}
 }

@@ -288,6 +288,20 @@ var ownersHoldReplicas = Condition{
 	},
 }
 
+// heldTasksUnload builds the gwrestart condition: every task id the
+// workload held across a gateway restart unloads through the new
+// gateway with 204. Retired ids stay retired across polls.
+func heldTasksUnload(held []int64) Condition {
+	return Condition{Name: "held-tasks-unload", Check: func(ctx context.Context, e *Env) error {
+		for ; len(held) > 0; held = held[1:] {
+			if err := e.Fleet.Client.Unload(ctx, held[0]); err != nil {
+				return fmt.Errorf("task %d held across the restart: %w", held[0], err)
+			}
+		}
+		return nil
+	}}
+}
+
 // streamsHealed: after a kill-and-restart the gateway's persistent
 // data-plane streams recovered on their own. The streams-open gauge
 // proves the pool is live again, and the reconnect counter proves the

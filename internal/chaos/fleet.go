@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,10 +22,10 @@ import (
 // Fabric parameters every chaos node runs with. Small and uniform:
 // the harness tests the management plane, not the fabrics.
 const (
-	nodeFabrics = 1
-	nodeSide    = 16
-	NodeW       = 8
-	NodeK       = 6
+	fabricsPerNode = 1
+	nodeSide       = 16
+	NodeW          = 8
+	NodeK          = 6
 )
 
 // Node is one vbsd under chaos control: the kill/restart primitives
@@ -63,7 +64,7 @@ type Fleet struct {
 	Admin  *cluster.Admin
 
 	gwServer *http.Server
-	gwErr    chan error
+	probe    time.Duration
 
 	// spawn builds one more node of the fleet's kind (in-process or
 	// subprocess) for the elastic-membership recipes.
@@ -111,17 +112,19 @@ func (f *Fleet) AliveNodes() int {
 	return alive
 }
 
-// startGateway mounts an in-process cluster gateway over the node
-// URLs on a fresh loopback listener.
-func (f *Fleet) startGateway(ctx context.Context, probe time.Duration) error {
-	urls := make([]string, len(f.Nodes))
-	for i, n := range f.Nodes {
-		urls[i] = n.URL()
+// startGateway mounts an in-process cluster gateway over the given
+// members (every fleet node when nil) on addr; "127.0.0.1:0" picks a
+// fresh loopback port.
+func (f *Fleet) startGateway(ctx context.Context, members []string, addr string) error {
+	if members == nil {
+		for _, n := range f.Nodes {
+			members = append(members, n.URL())
+		}
 	}
-	gw, err := cluster.New(urls, cluster.Options{
+	gw, err := cluster.New(members, cluster.Options{
 		Replicas:      f.Replicas,
-		ProbeInterval: probe,
-		ProbeTimeout:  2 * probe,
+		ProbeInterval: f.probe,
+		ProbeTimeout:  2 * f.probe,
 		HopTimeout:    10 * time.Second,
 		// Membership recipes wait on rebalance convergence, so pass
 		// frequently; every membership change also kicks a pass.
@@ -130,19 +133,46 @@ func (f *Fleet) startGateway(ctx context.Context, probe time.Duration) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := rebind(addr)
 	if err != nil {
 		return err
 	}
 	gw.Start(ctx)
-	f.Gateway = gw
+	hs := &http.Server{Handler: gw.Handler()}
+	f.Gateway, f.gwServer = gw, hs
 	f.URL = "http://" + ln.Addr().String()
 	f.Client = server.NewClient(f.URL, nil)
 	f.Admin = cluster.NewAdmin(f.URL)
-	f.gwServer = &http.Server{Handler: gw.Handler()}
-	f.gwErr = make(chan error, 1)
-	go func() { f.gwErr <- f.gwServer.Serve(ln) }()
+	go func() { _ = hs.Serve(ln) }()
 	return waitHealthy(ctx, f.Client, 10*time.Second)
+}
+
+// RestartGateway crashes the in-process gateway (listener and
+// connections closed, no drain) and serves a fresh cluster.New over
+// the same members on the same address. Nothing carries over but the
+// nodes: whatever the new gateway knows, it learns from them.
+func (f *Fleet) RestartGateway(ctx context.Context) error {
+	var members []string
+	for _, m := range f.Gateway.Members().Nodes {
+		members = append(members, m.Name)
+	}
+	_ = f.gwServer.Close()
+	f.Gateway.Stop()
+	return f.startGateway(ctx, members, strings.TrimPrefix(f.URL, "http://"))
+}
+
+// rebind listens on addr, which a killed server may have just
+// released: a brief retry absorbs the TIME_WAIT-ish window.
+func rebind(addr string) (net.Listener, error) {
+	var ln net.Listener
+	var err error
+	for i := 0; i < 50; i++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			return ln, nil
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return nil, fmt.Errorf("chaos: rebind %s: %w", addr, err)
 }
 
 // waitHealthy polls /healthz until it answers or the deadline lapses.
@@ -150,7 +180,7 @@ func waitHealthy(ctx context.Context, cl *server.Client, timeout time.Duration) 
 	deadline := time.Now().Add(timeout)
 	for {
 		cctx, cancel := context.WithTimeout(ctx, time.Second)
-		err := cl.Health(cctx)
+		_, err := cl.Health(cctx)
 		cancel()
 		if err == nil {
 			return nil
@@ -241,7 +271,7 @@ func newLocalNode(ctx context.Context, name, dataDir string) (*localNode, error)
 }
 
 func (n *localNode) start(ln net.Listener) error {
-	ctrls := make([]*controller.Controller, nodeFabrics)
+	ctrls := make([]*controller.Controller, fabricsPerNode)
 	for i := range ctrls {
 		f, err := fabric.New(arch.Params{W: NodeW, K: NodeK}, arch.Grid{Width: nodeSide, Height: nodeSide})
 		if err != nil {
@@ -307,18 +337,10 @@ func (n *localNode) Restart() error {
 	if n.Alive() {
 		return nil
 	}
-	// The old listener is closed; the pinned port is free again. A
-	// brief retry absorbs the TIME_WAIT-ish window.
-	var ln net.Listener
-	var err error
-	for i := 0; i < 50; i++ {
-		if ln, err = net.Listen("tcp", n.addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// The old listener is closed; the pinned port is free again.
+	ln, err := rebind(n.addr)
 	if err != nil {
-		return fmt.Errorf("chaos: rebind %s: %w", n.addr, err)
+		return err
 	}
 	if err := n.start(ln); err != nil {
 		ln.Close()
@@ -330,7 +352,7 @@ func (n *localNode) Restart() error {
 // NewLocalFleet builds an all-in-process fleet: n nodes with data
 // dirs under workDir, behind a gateway with the given replica count.
 func NewLocalFleet(ctx context.Context, workDir string, n, replicas int, probe time.Duration) (*Fleet, error) {
-	f := &Fleet{Replicas: replicas}
+	f := &Fleet{Replicas: replicas, probe: probe}
 	f.spawn = func(ctx context.Context, name string) (Node, error) {
 		return newLocalNode(ctx, name, filepath.Join(workDir, "data-"+name))
 	}
@@ -342,7 +364,7 @@ func NewLocalFleet(ctx context.Context, workDir string, n, replicas int, probe t
 		}
 		f.Nodes = append(f.Nodes, node)
 	}
-	if err := f.startGateway(ctx, probe); err != nil {
+	if err := f.startGateway(ctx, nil, "127.0.0.1:0"); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -394,7 +416,7 @@ func (n *procNode) spawn(ctx context.Context) error {
 	}
 	cmd := exec.Command(n.vbsd,
 		"-addr", n.addr,
-		"-fabrics", fmt.Sprint(nodeFabrics),
+		"-fabrics", fmt.Sprint(fabricsPerNode),
 		"-size", fmt.Sprintf("%dx%d", nodeSide, nodeSide),
 		"-w", fmt.Sprint(NodeW),
 		"-k", fmt.Sprint(NodeK),
@@ -452,7 +474,7 @@ func (n *procNode) Restart() error {
 // vbsdPath) with data dirs and logs under workDir, behind an
 // in-process gateway.
 func NewProcFleet(ctx context.Context, vbsdPath, workDir string, n, replicas int, probe time.Duration) (*Fleet, error) {
-	f := &Fleet{Replicas: replicas}
+	f := &Fleet{Replicas: replicas, probe: probe}
 	f.spawn = func(ctx context.Context, name string) (Node, error) {
 		return newProcNode(ctx, vbsdPath, name,
 			filepath.Join(workDir, "data-"+name),
@@ -469,7 +491,7 @@ func NewProcFleet(ctx context.Context, vbsdPath, workDir string, n, replicas int
 		}
 		f.Nodes = append(f.Nodes, node)
 	}
-	if err := f.startGateway(ctx, probe); err != nil {
+	if err := f.startGateway(ctx, nil, "127.0.0.1:0"); err != nil {
 		f.Close()
 		return nil, err
 	}

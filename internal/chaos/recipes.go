@@ -77,6 +77,12 @@ func init() {
 		Run:         runNodeAdd,
 	})
 	register(Recipe{
+		Name:        "gwrestart",
+		Description: "crash and restart the gateway under traffic; expect every task id held across the restart to unload through the new gateway",
+		ErrorBudget: 0.25,
+		Run:         runGwRestart,
+	})
+	register(Recipe{
 		Name:        "drain",
 		Description: "gracefully drain and remove one node under traffic; expect zero client errors and an emptied node",
 		ErrorBudget: 0, // a graceful decommission must be invisible to clients
@@ -331,6 +337,28 @@ func runDrain(ctx context.Context, e *Env) error {
 	// Keep traffic running on the shrunken fleet for a while.
 	Sleep(ctx, e.Cfg.FaultPhase/2)
 	e.AddCondition(ownersHoldReplicas)
+	return nil
+}
+
+// runGwRestart crashes the gateway mid-traffic and serves a fresh one
+// on the same address; the ids the workload held at the crash leave
+// its unload pool for the heldTasksUnload condition.
+func runGwRestart(ctx context.Context, e *Env) error {
+	deadline := time.Now().Add(e.Cfg.FaultPhase)
+	held := e.Work.takeLoaded()
+	for len(held) == 0 && ctx.Err() == nil && time.Now().Before(deadline) {
+		Sleep(ctx, 50*time.Millisecond)
+		held = e.Work.takeLoaded()
+	}
+	if len(held) == 0 {
+		return fmt.Errorf("workload held no task to carry across the restart")
+	}
+	e.recordFault("restart gateway holding %d task id(s)", len(held))
+	if err := e.Fleet.RestartGateway(ctx); err != nil {
+		return err
+	}
+	Sleep(ctx, e.Cfg.FaultPhase)
+	e.AddCondition(heldTasksUnload(held))
 	return nil
 }
 

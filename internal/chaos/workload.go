@@ -44,7 +44,7 @@ type Workload struct {
 
 	mu       sync.Mutex
 	acked    map[string][]byte // digest -> container, acked by the gateway
-	loaded   []int64           // gateway task ids eligible for unload
+	loaded   []int64           // task ids eligible for unload
 	unloaded map[int64]bool    // task ids whose unload was acked
 	stats    WorkloadStats
 }
@@ -116,7 +116,7 @@ func (w *Workload) Acked() map[string][]byte {
 	return out
 }
 
-// UnloadedTasks returns every gateway task id whose unload was acked.
+// UnloadedTasks returns every task id whose unload was acked.
 func (w *Workload) UnloadedTasks() []int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -124,6 +124,15 @@ func (w *Workload) UnloadedTasks() []int64 {
 	for id := range w.unloaded {
 		out = append(out, id)
 	}
+	return out
+}
+
+// takeLoaded empties the unload pool into the caller's hands.
+func (w *Workload) takeLoaded() []int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := w.loaded
+	w.loaded = nil
 	return out
 }
 
@@ -234,7 +243,8 @@ func (w *Workload) doOne(ctx context.Context, rng *rand.Rand) {
 			w.mu.Unlock()
 		case server.StatusCode(err) == 404:
 			// The task died with its node: stale, not an error. The
-			// gateway dropped the mapping, so the id must stay gone.
+			// node's next boot mints ids under a new instance, so the
+			// id must stay gone.
 			w.mu.Lock()
 			w.stats.Ops++
 			w.stats.Stale++

@@ -53,16 +53,13 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// blobs keeps each load's decoded container and its digest (hashed
 	// once, for routing and replication both); nodeOf records where an
-	// op was routed; unloads maps result index to the gateway task
-	// whose mapping must go.
+	// op was routed.
 	type blob struct {
 		data   []byte
 		digest repo.Digest
 	}
 	blobs := map[int]blob{}
 	nodeOf := map[int]string{}
-	unloads := map[int]*gwTask{}
-	var topo []nodeFabrics
 
 	for i, op := range req.Ops {
 		kind := op.Op
@@ -79,16 +76,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			digest := repo.DigestOf(data)
 			var target string
 			if op.Fabric != nil {
-				// A pinned fleet-global fabric names its node outright.
-				if topo == nil {
-					if topo, err = g.topology(r.Context()); err != nil {
-						results[i] = server.BatchResult{Status: http.StatusServiceUnavailable, Error: err.Error()}
-						continue
-					}
-				}
-				node, local, ok := localFabric(topo, *op.Fabric)
+				// A pinned fleet fabric id names its node outright.
+				node, _, local, ok := g.fabricOf(*op.Fabric)
 				if !ok {
-					results[i] = server.BatchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("fabric %d out of range", *op.Fabric)}
+					results[i] = server.BatchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("fabric %d not in the fleet", *op.Fabric)}
 					continue
 				}
 				lf := local
@@ -119,16 +110,12 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			nodeOf[i] = own[0]
 			assign(own[0], i, op)
 		case "unload":
-			g.mu.Lock()
-			t, ok := g.tasks[op.ID]
-			g.mu.Unlock()
+			node, _, ok := g.reg.ByInstance(server.InstanceOf(op.ID))
 			if !ok {
 				results[i] = server.BatchResult{Status: http.StatusNotFound, Error: fmt.Sprintf("task %d not loaded", op.ID)}
 				continue
 			}
-			unloads[i] = t
-			op.ID = t.remote
-			assign(t.node, i, op)
+			assign(node, i, op)
 		default:
 			results[i] = server.BatchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("unknown batch op %q", op.Op)}
 		}
@@ -163,12 +150,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	if topo == nil {
-		topo, _ = g.topology(r.Context())
-	}
-	// Post-pass per op: register placements (and translate fabric
-	// indices to fleet-global), verify relayed get payloads against
-	// their content address, drop unloaded task mappings, and collect
+	// Post-pass per op: name placed fabrics by fleet fabric id, verify
+	// relayed get payloads against their content address, and collect
 	// each distinct admitted blob for replication.
 	type replJob struct {
 		blob
@@ -176,16 +159,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	repl := map[repo.Digest]replJob{}
 	for i := range results {
-		if t, ok := unloads[i]; ok {
-			if results[i].Status == http.StatusNoContent || results[i].Status == http.StatusNotFound {
-				// 404 means the node forgot the task (restart): the
-				// region is free either way, so the mapping goes too.
-				g.mu.Lock()
-				delete(g.tasks, t.id)
-				g.mu.Unlock()
-			}
-			continue
-		}
 		if results[i].Status == http.StatusOK && results[i].VBS != "" {
 			data, err := base64.StdEncoding.DecodeString(results[i].VBS)
 			d, perr := repo.ParseDigest(req.Ops[i].Digest)
@@ -203,21 +176,15 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		lr := results[i].Load
 		node := nodeOf[i]
-		g.mu.Lock()
-		id := g.nextID
-		g.nextID++
-		g.tasks[id] = &gwTask{id: id, node: node, remote: lr.ID, digest: lr.Digest}
-		g.mu.Unlock()
-		lr.ID = id
-		if gi := globalFabric(topo, node, lr.Fabric); gi >= 0 {
-			lr.Fabric = gi
-		}
+		inst := server.InstanceOf(lr.ID)
+		g.reg.Learn(node, inst)
+		lr.Fabric = fabricID(inst, lr.Fabric)
 		if _, seen := repl[b.digest]; !seen {
 			repl[b.digest] = replJob{blob: b, holder: node}
 		}
 	}
 	for d, job := range repl {
-		g.replicate(r.Context(), d, job.data, g.curRing().Lookup(d, g.replicas), job.holder)
+		g.replicate(r.Context(), d, job.data, g.Ring().Lookup(d, g.replicas), job.holder)
 	}
 	writeJSON(w, http.StatusOK, server.BatchResponse{Results: results})
 }

@@ -18,8 +18,8 @@ import (
 
 // TestGatewayBatch drives POST /tasks:batch through the gateway: the
 // batch is partitioned across owner nodes, per-op results come back
-// in order with fleet-global fabric indices, and every loaded blob
-// reaches its full replica set.
+// in order with fleet fabric ids, and every loaded blob reaches its
+// full replica set.
 func TestGatewayBatch(t *testing.T) {
 	c, _, nodes := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
 
@@ -37,12 +37,20 @@ func TestGatewayBatch(t *testing.T) {
 	if len(resp.Results) != len(ops) {
 		t.Fatalf("got %d results, want %d", len(resp.Results), len(ops))
 	}
+	fabrics, err := c.Fabrics(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := map[int]bool{}
+	for _, f := range fabrics {
+		fleet[f.Index] = true
+	}
 	for i, r := range resp.Results {
 		if r.Status != http.StatusCreated || r.Load == nil {
 			t.Fatalf("load %d: status %d error %q", i, r.Status, r.Error)
 		}
-		if r.Load.Fabric < 0 || r.Load.Fabric >= 3 {
-			t.Fatalf("load %d: fabric %d not fleet-global", i, r.Load.Fabric)
+		if !fleet[r.Load.Fabric] {
+			t.Fatalf("load %d: fabric %d is not a fleet fabric id %v", i, r.Load.Fabric, fleet)
 		}
 	}
 
@@ -77,7 +85,7 @@ func TestGatewayBatch(t *testing.T) {
 		t.Fatalf("batched get returned wrong bytes (err %v)", err)
 	}
 
-	// The unloaded task's gateway mapping is gone.
+	// The unloaded task is gone from the fleet listing.
 	tasks, err := c.Tasks(t.Context())
 	if err != nil {
 		t.Fatal(err)

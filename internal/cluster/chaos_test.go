@@ -2,11 +2,13 @@ package cluster_test
 
 import (
 	"context"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/repo"
 	"repro/internal/server"
 )
 
@@ -126,5 +128,48 @@ func TestGatewayRepairDoesNotResurrectDeleted(t *testing.T) {
 	gw.Stop() // drain any in-flight sweep before checking
 	if h := nodesHolding(t, nodes, put.Digest); len(h) != 0 {
 		t.Fatalf("deleted blob resurrected on %v", h)
+	}
+}
+
+// TestGatewayRepairSpreadsDelete: one owner still holds a digest while
+// another answers 410 (deleted on that node alone). A read serves the
+// surviving copy, and its repair sweep spreads the delete
+// (propagateDelete) instead of healing: afterwards no node serves it.
+func TestGatewayRepairSpreadsDelete(t *testing.T) {
+	nodes := make([]*testNode, 3)
+	for i := range nodes {
+		nodes[i] = newNode(t, 1, server.Options{DataDir: t.TempDir()})
+	}
+	cl, gw := startGateway(t, nodes, cluster.Options{Replicas: 2})
+	data := makeVBS(t, 141, 6)
+	put, err := cl.PutVBS(t.Context(), data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := gw.Ring().Lookup(repo.DigestOf(data), 2)
+	for _, n := range nodes {
+		if n.url == owners[1] {
+			if err := n.client.DeleteVBS(t.Context(), put.Digest); err != nil {
+				t.Fatalf("node-local delete: %v", err)
+			}
+		}
+	}
+	if h := nodesHolding(t, nodes, put.Digest); len(h) != 1 || h[0] != owners[0] {
+		t.Fatalf("holders before the read = %v, want only %s", h, owners[0])
+	}
+	if _, err := cl.GetVBS(t.Context(), put.Digest); err != nil {
+		t.Fatalf("read of the surviving copy: %v", err)
+	}
+	gw.Stop() // drains the repair sweep the read scheduled
+	if h := nodesHolding(t, nodes, put.Digest); len(h) != 0 {
+		t.Fatalf("delete not spread: %v still hold %.12s", h, put.Digest)
+	}
+	for _, n := range nodes {
+		if _, err := n.client.GetVBS(t.Context(), put.Digest); server.StatusCode(err) != http.StatusGone {
+			t.Errorf("%s serves the deleted digest: %v, want 410", n.url, err)
+		}
+	}
+	if got := metricValue(t, cl.Base(), "vbs_gateway_tombstone_sweeps_total"); got < 1 {
+		t.Errorf("tombstone sweeps = %v, want >= 1", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -51,19 +52,12 @@ type Options struct {
 	RebalanceInterval time.Duration
 }
 
-// gwTask maps a gateway task id to the node-local task it proxies.
-// Node task-id spaces are independent, so the gateway keeps its own.
-type gwTask struct {
-	id     int64
-	node   string
-	remote int64
-	digest string
-}
-
 // Gateway fronts a fleet of vbsd nodes with the single-daemon
 // HTTP/JSON API: blob operations route by content address over the
 // consistent-hash ring with write-through replication and read
-// failover; fleet-wide endpoints scatter-gather and merge.
+// failover; fleet-wide endpoints scatter-gather and merge. Task and
+// fabric ids route by the node boot instance in their high bits, so
+// the gateway stores no task state and any gateway names them alike.
 type Gateway struct {
 	// ring is swapped copy-on-write on membership changes: requests
 	// load the pointer once and route on an immutable snapshot.
@@ -89,11 +83,6 @@ type Gateway struct {
 	mshipMu  sync.Mutex
 	mshipVer atomic.Uint64
 	draining map[string]bool
-
-	mu        sync.Mutex
-	tasks     map[int64]*gwTask
-	nextID    int64
-	fabCounts map[string]int // node -> fabric pool size (static per node boot)
 
 	// repairs tracks in-flight asynchronous read-repairs so Stop can
 	// drain them (and tests can observe completion); repairing dedups
@@ -149,8 +138,6 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 		retryAttempts: opts.RetryAttempts,
 		retryBase:     opts.RetryBackoff,
 		draining:      make(map[string]bool),
-		tasks:         make(map[int64]*gwTask),
-		fabCounts:     make(map[string]int),
 	}
 	g.ring.Store(NewRing(nodes, opts.VNodes))
 	g.reg.SetRetry(opts.RetryAttempts, opts.RetryBackoff)
@@ -162,12 +149,9 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 	return g, nil
 }
 
-// curRing loads the current routing ring — an immutable snapshot; a
+// Ring loads the current routing ring — an immutable snapshot; a
 // membership change mid-request cannot tear a lookup.
-func (g *Gateway) curRing() *Ring { return g.ring.Load() }
-
-// Ring exposes the current routing ring (read-only).
-func (g *Gateway) Ring() *Ring { return g.curRing() }
+func (g *Gateway) Ring() *Ring { return g.ring.Load() }
 
 // Rebalancer exposes the background rebalancer.
 func (g *Gateway) Rebalancer() *Rebalancer { return g.reb }
@@ -257,7 +241,7 @@ func (g *Gateway) hopCtx(r *http.Request) (context.Context, context.CancelFunc) 
 // nodes first, then suspect, then down — all in ring order within a
 // class, so two gateways still agree whenever their health views do.
 func (g *Gateway) owners(d repo.Digest) []string {
-	own := g.curRing().Lookup(d, g.replicas)
+	own := g.Ring().Lookup(d, g.replicas)
 	out := make([]string, 0, len(own))
 	for _, class := range []State{Alive, Suspect, Down} {
 		for _, n := range own {
@@ -273,13 +257,9 @@ func (g *Gateway) owners(d repo.Digest) []string {
 // registry order — the scatter-fallback read path for blobs imported
 // out-of-band on a non-owner node.
 func (g *Gateway) othersByHealth(except []string) []string {
-	in := make(map[string]bool, len(except))
-	for _, n := range except {
-		in[n] = true
-	}
 	var out []string
-	for _, n := range g.reg.Names() {
-		if !in[n] && g.reg.Alive(n) {
+	for _, n := range g.aliveNodes() {
+		if !slices.Contains(except, n) {
 			out = append(out, n)
 		}
 	}
@@ -357,76 +337,17 @@ func (g *Gateway) aliveNodes() []string {
 	return out
 }
 
-// ── fabric topology ────────────────────────────────────────────────
-
-// nodeFabrics is one node's slice of the fleet-global fabric index
-// space: global index = Offset + local index.
-type nodeFabrics struct {
-	Node   string
-	Count  int
-	Offset int
+// fabricID names a node-local fabric fleet-wide: the node's boot
+// instance in the high bits, the local index in the low ones.
+func fabricID(inst int64, local int) int {
+	return int(inst<<server.InstanceShift) | local
 }
 
-// topology returns the global fabric index layout in registry order.
-// Pool sizes are fixed at node boot (vbsd -fabrics), so counts are
-// cached forever after the first fetch; a node that is down before it
-// was ever counted makes the layout unknowable and errors.
-func (g *Gateway) topology(ctx context.Context) ([]nodeFabrics, error) {
-	names := g.reg.Names()
-	var missing []string
-	g.mu.Lock()
-	for _, n := range names {
-		if _, ok := g.fabCounts[n]; !ok {
-			missing = append(missing, n)
-		}
-	}
-	g.mu.Unlock()
-	if len(missing) > 0 {
-		res := scatter(ctx, g, missing, func(ctx context.Context, c *server.Client) ([]server.FabricInfo, error) {
-			return c.Fabrics(ctx)
-		})
-		g.mu.Lock()
-		for _, r := range res {
-			if r.err == nil {
-				g.fabCounts[r.node] = len(r.val)
-			}
-		}
-		g.mu.Unlock()
-	}
-	out := make([]nodeFabrics, 0, len(names))
-	offset := 0
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, n := range names {
-		count, ok := g.fabCounts[n]
-		if !ok {
-			return nil, fmt.Errorf("cluster: fabric pool of node %s unknown (node unreachable before first contact)", n)
-		}
-		out = append(out, nodeFabrics{Node: n, Count: count, Offset: offset})
-		offset += count
-	}
-	return out, nil
-}
-
-// globalFabric maps a node-local fabric index to the fleet-global one
-// (-1 when the topology does not know the node).
-func globalFabric(topo []nodeFabrics, node string, local int) int {
-	for _, t := range topo {
-		if t.Node == node {
-			return t.Offset + local
-		}
-	}
-	return -1
-}
-
-// localFabric resolves a fleet-global fabric index to (node, local).
-func localFabric(topo []nodeFabrics, global int) (string, int, bool) {
-	for _, t := range topo {
-		if global >= t.Offset && global < t.Offset+t.Count {
-			return t.Node, global - t.Offset, true
-		}
-	}
-	return "", 0, false
+// fabricOf resolves a fleet fabric id to its member, that member's
+// client and the local fabric index.
+func (g *Gateway) fabricOf(id int) (string, *server.Client, int, bool) {
+	node, c, ok := g.reg.ByInstance(server.InstanceOf(int64(id)))
+	return node, c, id & (1<<server.InstanceShift - 1), ok && id >= 0
 }
 
 // ── blob + task routing ────────────────────────────────────────────
@@ -496,22 +417,16 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	digest := repo.DigestOf(data)
-	owners := g.curRing().Lookup(digest, g.replicas)
+	owners := g.Ring().Lookup(digest, g.replicas)
 
 	// The load request targets the digest's owners in health order —
-	// unless the caller pinned a fleet-global fabric index, which
-	// names its node outright.
+	// unless the caller pinned a fleet fabric id, which names its node
+	// outright.
 	targets := g.owners(digest)
-	var topo []nodeFabrics
 	if req.Fabric != nil {
-		topo, err = g.topology(r.Context())
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		node, local, ok := localFabric(topo, *req.Fabric)
+		node, _, local, ok := g.fabricOf(*req.Fabric)
 		if !ok {
-			writeError(w, http.StatusBadRequest, "fabric %d out of range", *req.Fabric)
+			writeError(w, http.StatusBadRequest, "fabric %d not in the fleet", *req.Fabric)
 			return
 		}
 		req.Fabric = &local
@@ -555,9 +470,8 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 		default:
 			// Transport failure: fail over. A *timeout* here is
 			// ambiguous — the node may still complete the load after
-			// we give up, leaving an orphan task outside the gateway
-			// table (see ROADMAP "load reconciliation"); the node's
-			// own API can list and unload it.
+			// we give up. Such an orphan is still named by its node's
+			// id: GET /tasks lists it and DELETE /tasks/{id} frees it.
 			continue
 		}
 	}
@@ -581,68 +495,39 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// any replicas-1 nodes before the client hears "created".
 	g.replicate(r.Context(), digest, data, owners, onNode)
 
-	g.mu.Lock()
-	id := g.nextID
-	g.nextID++
-	g.tasks[id] = &gwTask{id: id, node: onNode, remote: placed.ID, digest: placed.Digest}
-	g.mu.Unlock()
-
-	placed.ID = id
-	if topo == nil {
-		topo, _ = g.topology(r.Context())
-	}
-	if gi := globalFabric(topo, onNode, placed.Fabric); gi >= 0 {
-		placed.Fabric = gi
-	}
+	inst := server.InstanceOf(placed.ID)
+	g.reg.Learn(onNode, inst)
+	placed.Fabric = fabricID(inst, placed.Fabric)
 	writeJSON(w, http.StatusCreated, placed)
 }
 
-// taskFromPath resolves {id} against the gateway task table.
-func (g *Gateway) taskFromPath(w http.ResponseWriter, r *http.Request) (*gwTask, bool) {
+// taskFromPath resolves {id} to the member whose boot minted it, or
+// replies 400/404.
+func (g *Gateway) taskFromPath(w http.ResponseWriter, r *http.Request) (int64, string, *server.Client, bool) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad task id %q", r.PathValue("id"))
-		return nil, false
+		return 0, "", nil, false
 	}
-	g.mu.Lock()
-	t, ok := g.tasks[id]
-	g.mu.Unlock()
+	node, c, ok := g.reg.ByInstance(server.InstanceOf(id))
 	if !ok {
 		writeError(w, http.StatusNotFound, "task %d not loaded", id)
-		return nil, false
 	}
-	return t, true
+	return id, node, c, ok
 }
 
 func (g *Gateway) handleUnload(w http.ResponseWriter, r *http.Request) {
 	defer g.observeOp("unload", time.Now())
-	t, ok := g.taskFromPath(w, r)
+	id, node, c, ok := g.taskFromPath(w, r)
 	if !ok {
-		return
-	}
-	c := g.reg.Client(t.node)
-	if c == nil {
-		writeError(w, http.StatusServiceUnavailable, "node %s no longer a cluster member", t.node)
 		return
 	}
 	ctx, cancel := g.hopCtx(r)
 	defer cancel()
-	err := c.Unload(ctx, t.remote)
-	g.observe(t.node, err)
+	err := c.Unload(ctx, id)
+	g.observe(node, err)
 	g.proxied.Add(1)
-	if err != nil && server.StatusCode(err) != http.StatusNotFound {
-		// Transport failure or node-side error: keep the mapping, the
-		// task may still occupy its region.
-		writeUpstream(w, err)
-		return
-	}
-	g.mu.Lock()
-	delete(g.tasks, t.id)
-	g.mu.Unlock()
 	if err != nil {
-		// The node no longer knew the task (restart): the region is
-		// free either way, so the mapping had to go, but tell the
-		// caller the truth.
 		writeUpstream(w, err)
 		return
 	}
@@ -651,7 +536,7 @@ func (g *Gateway) handleUnload(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleRelocate(w http.ResponseWriter, r *http.Request) {
 	defer g.observeOp("relocate", time.Now())
-	t, ok := g.taskFromPath(w, r)
+	id, node, c, ok := g.taskFromPath(w, r)
 	if !ok {
 		return
 	}
@@ -663,104 +548,48 @@ func (g *Gateway) handleRelocate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "x and y are required")
 		return
 	}
-	c := g.reg.Client(t.node)
-	if c == nil {
-		writeError(w, http.StatusServiceUnavailable, "node %s no longer a cluster member", t.node)
-		return
-	}
 	ctx, cancel := g.hopCtx(r)
 	defer cancel()
-	info, err := c.Relocate(ctx, t.remote, *req.X, *req.Y)
-	g.observe(t.node, err)
+	info, err := c.Relocate(ctx, id, *req.X, *req.Y)
+	g.observe(node, err)
 	g.proxied.Add(1)
 	if err != nil {
 		writeUpstream(w, err)
 		return
 	}
-	info.ID = t.id
-	info.Node = t.node
-	if topo, terr := g.topology(r.Context()); terr == nil {
-		if gi := globalFabric(topo, t.node, info.Fabric); gi >= 0 {
-			info.Fabric = gi
-		}
-	}
+	info.Node = node
+	info.Fabric = fabricID(server.InstanceOf(id), info.Fabric)
 	writeJSON(w, http.StatusOK, info)
 }
 
-// handleListTasks merges the gateway's task table with
-// scatter-gathered per-node listings: position and dimensions come
-// from the owning node when reachable. Tasks loaded directly on a
-// node (out of band) belong to that node's own API and are not
-// listed.
+// handleListTasks scatters GET /tasks over every member that answers,
+// draining ones included: ids pass through unchanged (tasks loaded out
+// of band included), fabric indices become fleet fabric ids.
 func (g *Gateway) handleListTasks(w http.ResponseWriter, r *http.Request) {
-	g.mu.Lock()
-	mine := make([]*gwTask, 0, len(g.tasks))
-	nodes := map[string]bool{}
-	for _, t := range g.tasks {
-		mine = append(mine, t)
-		nodes[t.node] = true
-	}
-	g.mu.Unlock()
-	sort.Slice(mine, func(a, b int) bool { return mine[a].id < mine[b].id })
-
-	var names []string
-	for _, n := range g.reg.Names() {
-		if nodes[n] && g.reg.Alive(n) {
-			names = append(names, n)
-		}
-	}
 	g.scatters.Add(1)
-	res := scatter(r.Context(), g, names, func(ctx context.Context, c *server.Client) ([]server.TaskInfo, error) {
+	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.TaskInfo, error) {
 		return c.Tasks(ctx)
 	})
-	remote := make(map[string]map[int64]server.TaskInfo, len(res))
+	out := make([]server.TaskInfo, 0)
 	for _, nr := range res {
 		if nr.err != nil {
 			continue
 		}
-		m := make(map[int64]server.TaskInfo, len(nr.val))
 		for _, ti := range nr.val {
-			m[ti.ID] = ti
+			ti.Node = nr.node
+			ti.Fabric = fabricID(server.InstanceOf(ti.ID), ti.Fabric)
+			out = append(out, ti)
 		}
-		remote[nr.node] = m
 	}
-	topo, _ := g.topology(r.Context())
-
-	out := make([]server.TaskInfo, 0, len(mine))
-	for _, t := range mine {
-		info := server.TaskInfo{ID: t.id, Digest: t.digest, Node: t.node, Fabric: -1}
-		if ti, ok := remote[t.node][t.remote]; ok {
-			info.X, info.Y = ti.X, ti.Y
-			info.TaskW, info.TaskH = ti.TaskW, ti.TaskH
-			info.Fabric = ti.Fabric
-			if gi := globalFabric(topo, t.node, ti.Fabric); gi >= 0 {
-				info.Fabric = gi
-			}
-		}
-		out = append(out, info)
-	}
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handleCompact(w http.ResponseWriter, r *http.Request) {
 	i, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
+	node, c, local, ok := g.fabricOf(i)
+	if err != nil || !ok {
 		writeError(w, http.StatusNotFound, "fabric %q not in pool", r.PathValue("i"))
-		return
-	}
-	topo, terr := g.topology(r.Context())
-	if terr != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", terr)
-		return
-	}
-	node, local, ok := localFabric(topo, i)
-	if !ok {
-		writeError(w, http.StatusNotFound, "fabric %d not in pool", i)
-		return
-	}
-	c := g.reg.Client(node)
-	if c == nil {
-		writeError(w, http.StatusServiceUnavailable, "node %s no longer a cluster member", node)
 		return
 	}
 	ctx, cancel := g.hopCtx(r)
@@ -776,27 +605,23 @@ func (g *Gateway) handleCompact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// handleFabrics scatters GET /fabrics over every member that answers,
+// naming each fabric by its fleet fabric id; a member not yet probed
+// has no known boot instance and is left out until it is.
 func (g *Gateway) handleFabrics(w http.ResponseWriter, r *http.Request) {
-	topo, err := g.topology(r.Context())
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
 	g.scatters.Add(1)
 	res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.FabricInfo, error) {
 		return c.Fabrics(ctx)
 	})
-	byNode := map[string][]server.FabricInfo{}
-	for _, nr := range res {
-		if nr.err == nil {
-			byNode[nr.node] = nr.val
-		}
-	}
 	out := make([]server.FabricInfo, 0)
-	for _, t := range topo {
-		for _, fi := range byNode[t.Node] {
-			fi.Index += t.Offset
-			fi.Node = t.Node
+	for _, nr := range res {
+		inst := g.reg.Instance(nr.node)
+		if nr.err != nil || inst == 0 {
+			continue
+		}
+		for _, fi := range nr.val {
+			fi.Index = fabricID(inst, fi.Index)
+			fi.Node = nr.node
 			out = append(out, fi)
 		}
 	}
@@ -906,7 +731,7 @@ func (g *Gateway) handleGetVBS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	owners := g.owners(d)
-	primary := g.curRing().Owner(d)
+	primary := g.Ring().Owner(d)
 	g.proxied.Add(1)
 
 	serve := func(data []byte, from string) {
@@ -1035,7 +860,7 @@ func (g *Gateway) repairOwners(d repo.Digest, data []byte, from string) {
 	g.repairChecks.Add(1)
 	var missing []string
 	gone := false
-	for _, n := range g.curRing().Lookup(d, g.replicas) {
+	for _, n := range g.Ring().Lookup(d, g.replicas) {
 		if n == from || !g.reg.Alive(n) {
 			continue
 		}
@@ -1113,27 +938,17 @@ func (g *Gateway) handleDeleteVBS(w http.ResponseWriter, r *http.Request) {
 	}
 	g.proxied.Add(1)
 	digest := d.String()
-	g.mu.Lock()
 	refs := 0
-	for _, t := range g.tasks {
-		if t.digest == digest {
-			refs++
+	listed := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.VBSInfo, error) {
+		return c.ListVBS(ctx)
+	})
+	for _, nr := range listed {
+		if nr.err != nil {
+			continue
 		}
-	}
-	g.mu.Unlock()
-	if refs == 0 {
-		// Tasks loaded out of band reference blobs too: ask the fleet.
-		res := scatter(r.Context(), g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.VBSInfo, error) {
-			return c.ListVBS(ctx)
-		})
-		for _, nr := range res {
-			if nr.err != nil {
-				continue
-			}
-			for _, b := range nr.val {
-				if b.Digest == digest {
-					refs += b.Tasks
-				}
+		for _, b := range nr.val {
+			if b.Digest == digest {
+				refs += b.Tasks
 			}
 		}
 	}
@@ -1170,11 +985,10 @@ func (g *Gateway) handleDeleteVBS(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	alive := len(g.aliveNodes())
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
-		"nodes":  g.curRing().Len(),
-		"alive":  alive,
+		"nodes":  g.Ring().Len(),
+		"alive":  len(g.aliveNodes()),
 	})
 }
 

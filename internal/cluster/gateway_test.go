@@ -95,7 +95,7 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 }
 
 // TestGatewayTaskLifecycle: list/relocate/unload proxy to the owning
-// node and present fleet-global identifiers.
+// node and present fleet-wide identifiers.
 func TestGatewayTaskLifecycle(t *testing.T) {
 	cl, _, nodes := newCluster(t, 3, 2, cluster.Options{Replicas: 2})
 
@@ -139,7 +139,7 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 	seen := map[int]bool{}
 	for _, f := range fabrics {
 		if seen[f.Index] {
-			t.Fatalf("duplicate global fabric index %d", f.Index)
+			t.Fatalf("duplicate fleet fabric id %d", f.Index)
 		}
 		seen[f.Index] = true
 		if f.Node == "" {
@@ -147,9 +147,9 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 		}
 	}
 
-	// Compaction routes by global index.
+	// Compaction routes by fleet fabric id.
 	if _, err := cl.Compact(t.Context(), fabrics[len(fabrics)-1].Index); err != nil {
-		t.Fatalf("compact global fabric: %v", err)
+		t.Fatalf("compact by fleet fabric id: %v", err)
 	}
 
 	if err := cl.Unload(t.Context(), res.ID); err != nil {
@@ -169,31 +169,108 @@ func TestGatewayTaskLifecycle(t *testing.T) {
 	}
 }
 
-// TestGatewayPinnedFabric: pinning a fleet-global fabric index routes
-// the load to that fabric's node.
+// TestGatewayPinnedFabric: a fleet fabric id names one fabric of one
+// node for good. Pinning it routes the load to that fabric, and
+// removing another member renumbers no fabric and no task.
 func TestGatewayPinnedFabric(t *testing.T) {
-	cl, _, nodes := newCluster(t, 3, 1, cluster.Options{Replicas: 1})
+	cl, _, nodes := newCluster(t, 3, 2, cluster.Options{Replicas: 1})
+	ctx := t.Context()
 
-	// Global index 2 is node 2's only fabric (registry order).
-	pin := 2
-	res, err := cl.Load(t.Context(), makeVBS(t, 21, 6), server.LoadRequest{Fabric: &pin})
+	fabrics, err := cl.Fabrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fabric != pin {
-		t.Errorf("pinned load reported fabric %d, want %d", res.Fabric, pin)
+	if len(fabrics) != 6 {
+		t.Fatalf("fleet lists %d fabrics, want 6", len(fabrics))
 	}
-	remote, err := nodes[2].client.Tasks(t.Context())
+	// pinLands loads pinned to f and checks the reply names f and the
+	// task sits on f's node, on f's local fabric.
+	pinLands := func(f server.FabricInfo, seed int64) server.LoadResponse {
+		t.Helper()
+		pin := f.Index
+		res, err := cl.Load(ctx, makeVBS(t, seed, 6), server.LoadRequest{Fabric: &pin})
+		if err != nil {
+			t.Fatalf("load pinned to fabric %d: %v", pin, err)
+		}
+		if res.Fabric != pin {
+			t.Fatalf("pinned load reported fabric %d, want %d", res.Fabric, pin)
+		}
+		remote, err := server.NewClient(f.Node, nil).Tasks(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ti := range remote {
+			if ti.ID == res.ID {
+				if local := pin & (1<<server.InstanceShift - 1); ti.Fabric != local {
+					t.Fatalf("task %d on local fabric %d of %s, want %d", res.ID, ti.Fabric, f.Node, local)
+				}
+				return res
+			}
+		}
+		t.Fatalf("task %d pinned to fabric %d not on its node %s", res.ID, pin, f.Node)
+		return res
+	}
+	for i, f := range fabrics {
+		pinLands(f, int64(21+i))
+	}
+	before, err := cl.Tasks(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(remote) != 1 {
-		t.Fatalf("pinned node holds %d task(s), want 1", len(remote))
-	}
 
-	if _, err := cl.Load(t.Context(), makeVBS(t, 21, 6), server.LoadRequest{Fabric: &[]int{99}[0]}); err == nil ||
-		!strings.Contains(err.Error(), "400") {
-		t.Errorf("out-of-range global fabric error = %v", err)
+	gone := nodes[0].url
+	if _, err := cluster.NewAdmin(cl.Base()).RemoveNode(ctx, gone); err != nil {
+		t.Fatal(err)
+	}
+	after, err := cl.Fabrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []server.FabricInfo
+	for _, f := range fabrics {
+		if f.Node != gone {
+			kept = append(kept, f)
+		}
+	}
+	if len(after) != len(kept) {
+		t.Fatalf("after removal the fleet lists %d fabrics, want %d", len(after), len(kept))
+	}
+	for i := range kept {
+		if after[i].Index != kept[i].Index || after[i].Node != kept[i].Node {
+			t.Fatalf("fabric %d of %s renamed to %d of %s", kept[i].Index, kept[i].Node, after[i].Index, after[i].Node)
+		}
+	}
+	tasks, err := cl.Tasks(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var survivors []server.TaskInfo
+	for _, ti := range before {
+		if ti.Node != gone {
+			survivors = append(survivors, ti)
+		}
+	}
+	if len(tasks) != len(survivors) {
+		t.Fatalf("after removal the fleet lists %d tasks, want %d", len(tasks), len(survivors))
+	}
+	for i := range survivors {
+		if tasks[i] != survivors[i] {
+			t.Fatalf("task %+v became %+v after another member left", survivors[i], tasks[i])
+		}
+	}
+	pinLands(kept[len(kept)-1], 41)
+
+	for _, f := range fabrics {
+		if f.Node != gone {
+			continue
+		}
+		pin := f.Index
+		if _, err := cl.Load(ctx, makeVBS(t, 42, 6), server.LoadRequest{Fabric: &pin}); server.StatusCode(err) != http.StatusBadRequest {
+			t.Errorf("load pinned to a removed member's fabric = %v, want 400", err)
+		}
+	}
+	if _, err := cl.Load(ctx, makeVBS(t, 43, 6), server.LoadRequest{Fabric: &[]int{99}[0]}); server.StatusCode(err) != http.StatusBadRequest {
+		t.Errorf("load pinned to an unknown fabric = %v, want 400", err)
 	}
 }
 

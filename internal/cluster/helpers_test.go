@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -72,15 +73,16 @@ func makeVBS(t *testing.T, seed int64, nLB int) []byte {
 
 // node is one in-process vbsd daemon under the gateway.
 type testNode struct {
-	url    string
-	srv    *server.Server
-	hs     *httptest.Server
-	client *server.Client
+	url     string
+	srv     *server.Server
+	hs      *httptest.Server
+	client  *server.Client
+	fabrics int
+	opts    server.Options
 }
 
-// newNode starts an httptest vbsd over fresh 16x16 W=8 fabrics; each
-// wrap, when given, sits in front of the daemon's handler.
-func newNode(t *testing.T, fabrics int, opts server.Options, wrap ...func(http.Handler) http.Handler) *testNode {
+// bootDaemon builds a vbsd over fresh 16x16 W=8 fabrics.
+func bootDaemon(t *testing.T, fabrics int, opts server.Options) *server.Server {
 	t.Helper()
 	ctrls := make([]*controller.Controller, fabrics)
 	for i := range ctrls {
@@ -94,13 +96,48 @@ func newNode(t *testing.T, fabrics int, opts server.Options, wrap ...func(http.H
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv
+}
+
+// newNode starts an httptest vbsd; each wrap, when given, sits in
+// front of the daemon's handler.
+func newNode(t *testing.T, fabrics int, opts server.Options, wrap ...func(http.Handler) http.Handler) *testNode {
+	t.Helper()
+	srv := bootDaemon(t, fabrics, opts)
 	var h http.Handler = srv.Handler()
 	for _, w := range wrap {
 		h = w(h)
 	}
 	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
-	return &testNode{url: hs.URL, srv: srv, hs: hs, client: server.NewClient(hs.URL, nil)}
+	return &testNode{url: hs.URL, srv: srv, hs: hs, client: server.NewClient(hs.URL, nil), fabrics: fabrics, opts: opts}
+}
+
+// restart kills the node and boots a fresh daemon (new boot instance,
+// no tasks, same options and data dir) on the same address. Handler
+// wraps are not reinstalled.
+func (n *testNode) restart(t *testing.T) {
+	t.Helper()
+	addr := n.hs.Listener.Addr().String()
+	n.kill()
+	var ln net.Listener
+	var err error
+	for i := 0; i < 50; i++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	n.srv = bootDaemon(t, n.fabrics, n.opts)
+	hs := httptest.NewUnstartedServer(n.srv.Handler())
+	hs.Listener.Close()
+	hs.Listener = ln
+	hs.Start()
+	t.Cleanup(hs.Close)
+	n.hs = hs
 }
 
 // newCluster starts n nodes plus a gateway over them, and returns an

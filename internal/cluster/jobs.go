@@ -16,12 +16,11 @@ import (
 // defineJobs registers the gateway's background job kinds. Called once
 // from New, before the metrics registry snapshots the kind list.
 //
-// "rebalance" and "reconcile" run on the gateway itself; the fleet
-// kinds fan the same-named node job out to every alive node and
-// scatter-gather their progress into the one gateway job.
+// "rebalance" runs on the gateway itself; the fleet kinds fan the
+// same-named node job out to every alive node and scatter-gather their
+// progress into the one gateway job.
 func (g *Gateway) defineJobs() {
 	g.jobs.Define(jobs.Spec{Kind: "rebalance", Exclusive: true, Run: g.reb.runRebalance})
-	g.jobs.Define(jobs.Spec{Kind: "reconcile", Exclusive: true, Run: g.runReconcile})
 	for _, kind := range []string{"scrub", "tombstone-sweep", "warm"} {
 		g.jobs.Define(jobs.Spec{Kind: kind, Exclusive: true, Run: g.fleetRunner(kind)})
 	}
@@ -165,116 +164,6 @@ func (g *Gateway) runFleet(ctx context.Context, j *jobs.Job, kind string) error 
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("cluster: %s: %s", kind, strings.Join(failures, "; "))
-	}
-	return nil
-}
-
-// runReconcile diffs the gateway task table against every reachable
-// node's task listing. Gateway mappings whose node no longer knows the
-// task (node restart) are dropped; node tasks the gateway does not
-// know — orphans from timed-out loads or out-of-band API use — are
-// adopted into the table (mode=adopt, the default) or unloaded off the
-// node (mode=cancel). Unreachable nodes are skipped: their mappings
-// and tasks are reconciled once they answer again.
-func (g *Gateway) runReconcile(ctx context.Context, j *jobs.Job) error {
-	mode := j.Arg("mode")
-	if mode == "" {
-		mode = "adopt"
-	}
-	if mode != "adopt" && mode != "cancel" {
-		return fmt.Errorf("reconcile: bad mode %q (want adopt or cancel)", mode)
-	}
-
-	g.scatters.Add(1)
-	res := scatter(ctx, g, g.aliveNodes(), func(ctx context.Context, c *server.Client) ([]server.TaskInfo, error) {
-		hctx, cancel := context.WithTimeout(ctx, g.hop)
-		defer cancel()
-		return c.Tasks(hctx)
-	})
-	listed := make(map[string]map[int64]server.TaskInfo) // reachable nodes only
-	for _, nr := range res {
-		if nr.err != nil {
-			j.Add("nodes_skipped", 1)
-			continue
-		}
-		m := make(map[int64]server.TaskInfo, len(nr.val))
-		for _, ti := range nr.val {
-			m[ti.ID] = ti
-		}
-		listed[nr.node] = m
-	}
-
-	// Pass 1: drop mappings the owning node disowned, and index the
-	// survivors so pass 2 can spot node tasks missing from the table.
-	var dropped int64
-	known := make(map[string]map[int64]bool)
-	g.mu.Lock()
-	for id, t := range g.tasks {
-		if m, reachable := listed[t.node]; reachable {
-			if _, alive := m[t.remote]; !alive {
-				delete(g.tasks, id)
-				dropped++
-				continue
-			}
-		}
-		if known[t.node] == nil {
-			known[t.node] = make(map[int64]bool)
-		}
-		known[t.node][t.remote] = true
-	}
-	g.mu.Unlock()
-	j.Set("dropped", dropped)
-
-	// Pass 2: orphaned node tasks.
-	for node, m := range listed {
-		for rid, ti := range m {
-			if known[node][rid] {
-				continue
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			switch mode {
-			case "adopt":
-				// Re-check under the lock: a concurrent load or an
-				// earlier reconcile may have mapped the task since the
-				// scatter.
-				adopted := false
-				g.mu.Lock()
-				dup := false
-				for _, t := range g.tasks {
-					if t.node == node && t.remote == rid {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					id := g.nextID
-					g.nextID++
-					g.tasks[id] = &gwTask{id: id, node: node, remote: rid, digest: ti.Digest}
-					adopted = true
-				}
-				g.mu.Unlock()
-				if adopted {
-					j.Add("adopted", 1)
-				}
-			case "cancel":
-				c := g.reg.Client(node)
-				if c == nil {
-					j.Add("cancel_errors", 1)
-					continue
-				}
-				hctx, cancel := context.WithTimeout(ctx, g.hop)
-				err := c.Unload(hctx, rid)
-				cancel()
-				g.observe(node, err)
-				if err != nil && server.StatusCode(err) != http.StatusNotFound {
-					j.Add("cancel_errors", 1)
-					continue
-				}
-				j.Add("cancelled", 1)
-			}
-		}
 	}
 	return nil
 }

@@ -80,89 +80,6 @@ func TestFleetJobScatterGather(t *testing.T) {
 	}
 }
 
-// TestReconcileAdoptsOrphan loads a task directly on a node (behind
-// the gateway's back) and checks reconcile adopts it into the gateway
-// task table.
-func TestReconcileAdoptsOrphan(t *testing.T) {
-	cl, _, nodes := newCluster(t, 2, 1, cluster.Options{Replicas: 2})
-	ctx := context.Background()
-
-	data := makeVBS(t, 2, 6)
-	orphan, err := nodes[0].client.Load(ctx, data, server.LoadRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The gateway does not know the task yet.
-	before, err := cl.Tasks(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before) != 0 {
-		t.Fatalf("gateway lists %d task(s) before reconcile, want 0", len(before))
-	}
-
-	j, err := cl.StartJob(ctx, "reconcile", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitJob(t, cl, j.ID)
-	if done.Status != jobs.StatusDone || done.Progress["adopted"] != 1 {
-		t.Fatalf("reconcile = %+v, want done with adopted=1", done)
-	}
-
-	after, err := cl.Tasks(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != 1 || after[0].Digest != orphan.Digest || after[0].Node != nodes[0].url {
-		t.Fatalf("gateway tasks after reconcile = %+v, want the adopted orphan %s on %s",
-			after, orphan.Digest, nodes[0].url)
-	}
-
-	// Idempotent: a second reconcile finds nothing to adopt.
-	j2, err := cl.StartJob(ctx, "reconcile", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done2 := waitJob(t, cl, j2.ID); done2.Progress["adopted"] != 0 || done2.Progress["dropped"] != 0 {
-		t.Fatalf("second reconcile = %+v, want adopted=0 dropped=0", done2)
-	}
-
-	// The adopted task is a real gateway task: unload works through it.
-	if err := cl.Unload(ctx, after[0].ID); err != nil {
-		t.Fatalf("unload adopted task: %v", err)
-	}
-}
-
-// TestReconcileCancelMode checks mode=cancel unloads orphans off the
-// node instead of adopting them.
-func TestReconcileCancelMode(t *testing.T) {
-	cl, _, nodes := newCluster(t, 2, 1, cluster.Options{Replicas: 2})
-	ctx := context.Background()
-
-	data := makeVBS(t, 3, 6)
-	if _, err := nodes[1].client.Load(ctx, data, server.LoadRequest{}); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := cl.StartJob(ctx, "reconcile", map[string]string{"mode": "cancel"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitJob(t, cl, j.ID)
-	if done.Status != jobs.StatusDone || done.Progress["cancelled"] != 1 {
-		t.Fatalf("reconcile cancel = %+v, want done with cancelled=1", done)
-	}
-	remote, err := nodes[1].client.Tasks(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote) != 0 {
-		t.Fatalf("node still lists %d task(s) after cancel reconcile", len(remote))
-	}
-}
-
 // TestRebalancerStatsCumulative pins the satellite requirement: the
 // rebalancer's counters are process-lifetime cumulative — reading
 // Stats never resets them, and restarting the rebalance job never
@@ -259,15 +176,12 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	if got := find("vbs_cluster_alive_nodes", nil); got != 2 {
 		t.Errorf("alive nodes = %v, want 2", got)
 	}
-	if got := find("vbs_gateway_tasks", nil); got != 1 {
-		t.Errorf("gateway tasks = %v, want 1", got)
-	}
 	// Rebalance counters export even before any pass ran.
 	if got := find("vbs_rebalance_passes_total", nil); got != 0 {
 		t.Errorf("rebalance passes = %v, want 0 (no pass yet)", got)
 	}
 	// Every defined job kind exports a running gauge, idle included.
-	for _, kind := range []string{"rebalance", "reconcile", "scrub", "tombstone-sweep", "warm"} {
+	for _, kind := range []string{"rebalance", "scrub", "tombstone-sweep", "warm"} {
 		if got := find("vbs_jobs_running", map[string]string{"kind": kind}); got != 0 {
 			t.Errorf("jobs running{kind=%s} = %v, want 0", kind, got)
 		}

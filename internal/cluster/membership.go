@@ -116,13 +116,13 @@ func (g *Gateway) AddNode(rawURL string) error {
 	defer g.mshipMu.Unlock()
 	if g.draining[name] {
 		delete(g.draining, name)
-		g.bumpMembership(g.curRing().WithNode(name))
+		g.bumpMembership(g.Ring().WithNode(name))
 		return nil
 	}
 	if !g.reg.Add(name) {
 		return memberErrf(http.StatusConflict, "node %s already a member", name)
 	}
-	g.bumpMembership(g.curRing().WithNode(name))
+	g.bumpMembership(g.Ring().WithNode(name))
 	return nil
 }
 
@@ -137,7 +137,7 @@ func (g *Gateway) DrainNode(name string) error {
 	if g.draining[name] {
 		return nil
 	}
-	ring := g.curRing()
+	ring := g.Ring()
 	if !ring.Has(name) {
 		return memberErrf(http.StatusNotFound, "node %s not a member", name)
 	}
@@ -150,12 +150,13 @@ func (g *Gateway) DrainNode(name string) error {
 }
 
 // RemoveNode forgets a member entirely: off the ring (if still
-// active), out of the registry, its gateway task mappings and fabric
-// slice dropped. Removing the last active node is refused.
+// active) and out of the registry, so ids naming its tasks and fabrics
+// answer 404 until it rejoins. Removing the last active node is
+// refused.
 func (g *Gateway) RemoveNode(name string) error {
 	g.mshipMu.Lock()
 	defer g.mshipMu.Unlock()
-	ring := g.curRing()
+	ring := g.Ring()
 	active := ring.Has(name)
 	if !active && !g.draining[name] {
 		return memberErrf(http.StatusNotFound, "node %s not a member", name)
@@ -166,14 +167,6 @@ func (g *Gateway) RemoveNode(name string) error {
 	g.reg.Remove(name)
 	g.streams.drop(name)
 	delete(g.draining, name)
-	g.mu.Lock()
-	delete(g.fabCounts, name)
-	for id, t := range g.tasks {
-		if t.node == name {
-			delete(g.tasks, id)
-		}
-	}
-	g.mu.Unlock()
 	if active {
 		ring = ring.WithoutNode(name)
 	}
@@ -186,7 +179,7 @@ func (g *Gateway) Members() MembershipResponse {
 	draining := g.drainingSet()
 	out := MembershipResponse{
 		Version:     g.mshipVer.Load(),
-		RingVersion: ringVersionString(g.curRing()),
+		RingVersion: ringVersionString(g.Ring()),
 	}
 	for _, info := range g.reg.Snapshot() {
 		mode := "active"

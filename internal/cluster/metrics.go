@@ -70,13 +70,6 @@ func newGatewayMetrics(g *Gateway) *metrics.Registry {
 	reg.GaugeFunc("vbs_cluster_membership_version",
 		"Runtime membership changes (add, drain, remove) since boot.",
 		func() float64 { return float64(g.mshipVer.Load()) })
-	reg.GaugeFunc("vbs_gateway_tasks",
-		"Tasks loaded through this gateway.",
-		func() float64 {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			return float64(len(g.tasks))
-		})
 	reg.GaugeFunc("vbs_gateway_uptime_seconds",
 		"Seconds since the gateway booted.",
 		func() float64 { return time.Since(g.start).Seconds() })

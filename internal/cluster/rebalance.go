@@ -199,7 +199,7 @@ func (rb *Rebalancer) Stats() RebalanceStats {
 		LastError:  rb.lastErr,
 	}
 	rb.mu.Unlock()
-	out.RingVersion = ringVersionString(rb.g.curRing())
+	out.RingVersion = ringVersionString(rb.g.Ring())
 	out.Passes = rb.passes.Load()
 	out.Aborted = rb.aborted.Load()
 	out.BlobsExamined = rb.examined.Load()
@@ -223,7 +223,7 @@ type nodeInventory struct {
 func (rb *Rebalancer) pass(ctx context.Context, j *jobs.Job) error {
 	g := rb.g
 	startVer := g.MembershipVersion()
-	ring := g.curRing()
+	ring := g.Ring()
 	stale := func() bool { return g.MembershipVersion() != startVer }
 
 	rb.mu.Lock()
@@ -383,7 +383,7 @@ func (rb *Rebalancer) pass(ctx context.Context, j *jobs.Job) error {
 // surfaced (410) — the caller then propagates the delete instead.
 func (rb *Rebalancer) copyTo(ctx context.Context, d repo.Digest, to string, holders []string, gone *bool, j *jobs.Job) bool {
 	g := rb.g
-	ring := g.curRing()
+	ring := g.Ring()
 	srcs := make([]string, 0, len(holders))
 	for _, h := range holders {
 		if ring.Has(h) {

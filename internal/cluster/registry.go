@@ -45,6 +45,7 @@ const probeDownAfter = 2
 type node struct {
 	name   string
 	client *server.Client
+	inst   int64 // last-reported boot instance; guarded by Registry.mu
 
 	mu        sync.Mutex
 	state     State
@@ -64,18 +65,22 @@ type NodeInfo struct {
 	// LastError is the most recent probe/request failure ("" when the
 	// node has never failed or has recovered).
 	LastError string `json:"last_error,omitempty"`
+	// Instance is the node's boot instance; a change means a restart.
+	Instance int64 `json:"instance,omitempty"`
 }
 
 // Registry tracks the health of a runtime-mutable node set by probing
 // /healthz and by demotions reported from the request path
 // (ReportFailure). It owns one server.Client per node; the gateway
-// routes through those. Add and Remove mutate the set under the
+// routes through those, and routes task and fabric ids by the boot
+// instance each node reports. Add and Remove mutate the set under the
 // registry lock; the probe loop works off a snapshot, so a membership
 // change mid-round cannot race the node map.
 type Registry struct {
 	mu     sync.RWMutex
 	nodes  []*node          // in configured order
 	byName map[string]*node // name -> entry
+	byInst map[int64]*node  // boot instance -> entry
 
 	probe time.Duration // probe interval
 	tmo   time.Duration // per-probe timeout
@@ -95,8 +100,7 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry over node base URLs in the given
-// order (the order defines fleet-global fabric indexing).
-// interval/timeout <= 0 select 2s/1s.
+// order. interval/timeout <= 0 select 2s/1s.
 func NewRegistry(names []string, interval, timeout time.Duration) *Registry {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -106,6 +110,7 @@ func NewRegistry(names []string, interval, timeout time.Duration) *Registry {
 	}
 	r := &Registry{
 		byName:        make(map[string]*node, len(names)),
+		byInst:        make(map[int64]*node, len(names)),
 		probe:         interval,
 		tmo:           timeout,
 		retryAttempts: 1,
@@ -167,6 +172,7 @@ func (r *Registry) Remove(name string) bool {
 	if _, ok := r.byName[name]; !ok {
 		return false
 	}
+	delete(r.byInst, r.byName[name].inst)
 	delete(r.byName, name)
 	for i, n := range r.nodes {
 		if n.name == name {
@@ -211,6 +217,56 @@ func (r *Registry) Names() []string {
 func (r *Registry) Client(name string) *server.Client {
 	if n, ok := r.lookup(name); ok {
 		return n.client
+	}
+	return nil
+}
+
+// ByInstance resolves a boot instance to the member that reported it
+// and its client; ok is false when no member holds the instance.
+func (r *Registry) ByInstance(inst int64) (string, *server.Client, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if n, ok := r.byInst[inst]; ok {
+		return n.name, n.client, true
+	}
+	return "", nil, false
+}
+
+// Instance returns a member's last-reported boot instance (0 when
+// unknown).
+func (r *Registry) Instance(name string) int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if n, ok := r.byName[name]; ok {
+		return n.inst
+	}
+	return 0
+}
+
+// Learn records the boot instance a member's load reply carried, so a
+// node that restarted between probes is routable at once. A refused
+// claim is left for the next probe to report.
+func (r *Registry) Learn(name string, inst int64) {
+	r.mu.RLock()
+	n := r.byName[name]
+	known := n == nil || n.inst == inst
+	r.mu.RUnlock()
+	if !known {
+		_ = r.claim(n, inst)
+	}
+}
+
+// claim makes inst the member's boot instance. An instance another
+// member holds is refused, so a task id never resolves to two nodes.
+func (r *Registry) claim(n *node, inst int64) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if o := r.byInst[inst]; o != nil && o != n {
+		return fmt.Errorf("cluster: boot instance %d already reported by member %s", inst, o.name)
+	}
+	if inst != 0 && r.byName[n.name] == n {
+		delete(r.byInst, n.inst)
+		n.inst, r.byInst[inst] = inst, n
 	}
 	return nil
 }
@@ -279,7 +335,8 @@ func (n *node) fail(err error) {
 // loop calls it every interval. The round works off a snapshot of the
 // node set, so a concurrent Add/Remove cannot race the map — a node
 // added mid-round is probed next round, a removed one is probed once
-// more into the void, harmlessly.
+// more into the void, harmlessly. A node reporting a boot instance
+// another member holds fails its probe.
 func (r *Registry) ProbeAll(ctx context.Context) {
 	r.mu.RLock()
 	attempts, base := r.retryAttempts, r.retryBase
@@ -289,10 +346,11 @@ func (r *Registry) ProbeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
+			var inst int64
 			var err error
 			for a := 0; ; a++ {
 				pctx, cancel := context.WithTimeout(ctx, r.tmo)
-				err = n.client.Health(pctx)
+				inst, err = n.client.Health(pctx)
 				cancel()
 				if err == nil || a+1 >= attempts || ctx.Err() != nil {
 					break
@@ -305,6 +363,9 @@ func (r *Registry) ProbeAll(ctx context.Context) {
 			n.mu.Lock()
 			n.lastProbe = time.Now()
 			n.mu.Unlock()
+			if err == nil {
+				err = r.claim(n, inst)
+			}
 			if err != nil {
 				n.fail(err)
 				return
@@ -348,11 +409,12 @@ func (r *Registry) Stop() {
 // Snapshot returns per-node health for GET /cluster/nodes, in
 // configured order.
 func (r *Registry) Snapshot() []NodeInfo {
-	nodes := r.snapshot()
-	out := make([]NodeInfo, len(nodes))
-	for i, n := range nodes {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]NodeInfo, len(r.nodes))
+	for i, n := range r.nodes {
 		n.mu.Lock()
-		info := NodeInfo{Name: n.name, State: n.state.String(), LastProbeMS: -1, LastError: n.lastErr}
+		info := NodeInfo{Name: n.name, State: n.state.String(), LastProbeMS: -1, LastError: n.lastErr, Instance: n.inst}
 		if !n.lastProbe.IsZero() {
 			info.LastProbeMS = time.Since(n.lastProbe).Milliseconds()
 		}

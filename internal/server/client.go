@@ -180,10 +180,13 @@ func (c *Client) Fabrics(ctx context.Context) ([]FabricInfo, error) {
 	return out, err
 }
 
-// Health probes GET /healthz, returning nil when the daemon answers
-// 200 within the context deadline.
-func (c *Client) Health(ctx context.Context) error {
-	return c.Do(ctx, http.MethodGet, "/healthz", nil, nil)
+// Health probes GET /healthz, returning the daemon's boot instance
+// and a nil error when it answers 200 within the context deadline. A
+// gateway reports no instance (0).
+func (c *Client) Health(ctx context.Context) (int64, error) {
+	var out HealthResponse
+	err := c.Do(ctx, http.MethodGet, "/healthz", nil, &out)
+	return out.Instance, err
 }
 
 // PutVBS admits a container into the daemon's store without placing a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,5 +248,52 @@ func TestWarmDecodedStreamsFromDisk(t *testing.T) {
 	m := scrape(t, cl2)
 	if entries, hits, misses := m("vbs_cache_entries"), m("vbs_cache_hits_total"), m("vbs_cache_misses_total"); entries != 1 || hits == 0 || misses == 0 {
 		t.Fatalf("cache: %v entries, %v hits, %v misses", entries, hits, misses)
+	}
+}
+
+// TestRestartMintsFreshIDs: a restarted daemon draws a new boot
+// instance, so an id from the earlier boot answers 404 to unload and
+// relocate instead of naming a task of the new boot.
+func TestRestartMintsFreshIDs(t *testing.T) {
+	dataDir := t.TempDir()
+	cl, srv := newTestDaemon(t, 1, 16, server.Options{DataDir: dataDir})
+	data, err := makeVBS(32, 10, 4, 8, 1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := cl.Load(t.Context(), data, server.LoadRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if server.InstanceOf(old.ID) != srv.Instance() || old.ID <= 0 {
+		t.Fatalf("id %d does not carry the boot instance %d", old.ID, srv.Instance())
+	}
+
+	cl2, srv2 := newTestDaemon(t, 1, 16, server.Options{DataDir: dataDir})
+	if srv2.Instance() == srv.Instance() {
+		t.Fatalf("restart reused boot instance %d", srv.Instance())
+	}
+	if inst, err := cl2.Health(t.Context()); err != nil || inst != srv2.Instance() {
+		t.Fatalf("healthz instance = %d, %v; want %d", inst, err, srv2.Instance())
+	}
+	fresh, err := cl2.Load(t.Context(), data, server.LoadRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == old.ID {
+		t.Fatalf("restarted daemon reissued id %d", old.ID)
+	}
+	if _, err := cl2.Relocate(t.Context(), old.ID, 8, 8); server.StatusCode(err) != http.StatusNotFound {
+		t.Fatalf("relocate of an earlier boot's id = %v, want 404", err)
+	}
+	if err := cl2.Unload(t.Context(), old.ID); server.StatusCode(err) != http.StatusNotFound {
+		t.Fatalf("unload of an earlier boot's id = %v, want 404", err)
+	}
+	tasks, err := cl2.Tasks(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 1 || tasks[0].ID != fresh.ID || tasks[0].X != fresh.X || tasks[0].Y != fresh.Y {
+		t.Fatalf("tasks after stale-id calls = %+v, want the new boot's task untouched at (%d,%d)", tasks, fresh.X, fresh.Y)
 	}
 }

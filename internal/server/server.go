@@ -28,7 +28,7 @@
 //	GET    /vbs/{digest}         raw container download
 //	DELETE /vbs/{digest}         drop a blob (409 while tasks reference it)
 //	GET    /metrics              Prometheus counters, gauges and latency histograms
-//	GET    /healthz              liveness probe
+//	GET    /healthz              liveness probe + boot instance (see InstanceShift)
 //
 // With Options.DataDir set, the store gains a persistent
 // content-addressed disk tier (internal/repo): admissions are written
@@ -38,7 +38,9 @@
 package server
 
 import (
+	"crypto/rand"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -110,9 +112,11 @@ type Server struct {
 	tombTTL time.Duration
 	start   time.Time
 
-	mu     sync.Mutex
-	tasks  map[int64]*task
-	nextID int64
+	instance int64 // this boot's random tag, the high bits of its task ids
+
+	mu    sync.Mutex
+	tasks map[int64]*task
+	seq   int64 // last sequence number handed out
 	// pending counts loads that have admitted a digest to the store
 	// but not yet registered (or abandoned) their task, so
 	// DELETE /vbs/{digest} cannot remove a blob out from under a load
@@ -129,6 +133,32 @@ type Server struct {
 	opLat     *metrics.HistogramVec
 	decodeLat *metrics.Histogram
 	transport *transport.Metrics
+}
+
+// InstanceShift splits a task id: id>>InstanceShift is the random
+// boot instance of the daemon that minted it, so an id from an earlier
+// boot answers 404; the low bits are the per-boot sequence number
+// (from 1; past maxSeq loads are refused, never wrapped). A cluster
+// gateway routes ids by instance and names fabrics the same way. Ids
+// are positive 63-bit integers: opaque, never to be parsed as floats.
+const InstanceShift = 32
+
+const maxSeq = 1<<InstanceShift - 1
+
+// InstanceOf returns the boot instance encoded in a task or fleet
+// fabric id.
+func InstanceOf(id int64) int64 { return id >> InstanceShift }
+
+// newInstance draws a nonzero random 31-bit boot instance: shifted by
+// InstanceShift it fills a positive int64.
+func newInstance() int64 {
+	var b [4]byte
+	for {
+		_, _ = rand.Read(b[:]) // never fails (crypto/rand, Go 1.24)
+		if inst := int64(binary.LittleEndian.Uint32(b[:]) >> 1); inst != 0 {
+			return inst
+		}
+	}
 }
 
 // task maps a server task id to its fabric-level identity.
@@ -161,15 +191,16 @@ func New(ctrls []*controller.Controller, opts Options) (*Server, error) {
 		store: store.NewTiered(opts.StoreBytes, disk),
 		cache: store.NewCache[*controller.Decoded](opts.CacheBits,
 			func(d *controller.Decoded) int64 { return int64(d.SizeBits()) }),
-		flight:  store.NewFlight[*controller.Decoded](),
-		workers: opts.DecodeWorkers,
-		policy:  pol,
-		chaos:   opts.EnableChaos,
-		tombTTL: opts.TombstoneTTL,
-		start:   time.Now(),
-		tasks:   make(map[int64]*task),
-		pending: make(map[store.Digest]int),
-		jobs:    jobs.NewTable(),
+		flight:   store.NewFlight[*controller.Decoded](),
+		workers:  opts.DecodeWorkers,
+		policy:   pol,
+		chaos:    opts.EnableChaos,
+		tombTTL:  opts.TombstoneTTL,
+		start:    time.Now(),
+		instance: newInstance(),
+		tasks:    make(map[int64]*task),
+		pending:  make(map[store.Digest]int),
+		jobs:     jobs.NewTable(),
 	}
 	s.defineJobs()
 	s.metrics = newServerMetrics(s)
@@ -197,7 +228,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleAbortJob)
 	mux.Handle("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Instance: s.instance})
 	})
 	mux.HandleFunc("GET "+transport.DefaultPath, s.handleStream)
 	if s.chaos {
@@ -352,6 +383,14 @@ func (s *Server) loadOne(begin time.Time, data []byte, req LoadRequest) (LoadRes
 	// is no longer stored.
 	digest := store.DigestOf(data)
 	s.mu.Lock()
+	if s.seq == maxSeq {
+		s.mu.Unlock()
+		return zero, http.StatusServiceUnavailable, errors.New("task ids of this boot exhausted: restart the daemon")
+	}
+	// The id is reserved up front, so a failed load leaves a gap in
+	// the sequence: ids are names, not counters.
+	s.seq++
+	id := s.instance<<InstanceShift | s.seq
 	s.pending[digest]++
 	s.mu.Unlock()
 	defer func() {
@@ -441,8 +480,6 @@ func (s *Server) loadOne(begin time.Time, data []byte, req LoadRequest) (LoadRes
 	}
 
 	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
 	s.tasks[id] = &task{id: id, fabric: onIndex, fid: placed.ID, digest: ent.Digest}
 	s.mu.Unlock()
 
@@ -846,6 +883,10 @@ func (s *Server) handleTombstones(w http.ResponseWriter, r *http.Request) {
 // by vbsd on graceful shutdown (a safety net over the write-through
 // admission path; usually a no-op).
 func (s *Server) Flush() error { return s.store.Flush() }
+
+// Instance returns this boot's random instance tag, the high bits of
+// every task id the daemon mints.
+func (s *Server) Instance() int64 { return s.instance }
 
 // Policy names the daemon's default placement policy.
 func (s *Server) Policy() string { return s.policy.Name() }

@@ -2,8 +2,12 @@ package server_test
 
 import (
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/repo"
 	"repro/internal/server"
 )
@@ -107,5 +111,62 @@ func TestLoadClearsTombstone(t *testing.T) {
 	}
 	if ts, _ := c.Tombstones(ctx); len(ts) != 0 {
 		t.Fatalf("tombstone survived a load: %+v", ts)
+	}
+}
+
+// TestTombstoneSweepReclaimsExpired: the tombstone-sweep job leaves a
+// live tombstone alone, and once the TTL has passed it reclaims the
+// record (its file under the data dir) and the digest is storable by
+// an automated, non-forced put again.
+func TestTombstoneSweepReclaimsExpired(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := newTestDaemon(t, 1, 16, server.Options{DataDir: dir, TombstoneTTL: time.Second})
+	ctx := t.Context()
+	data, err := makeVBS(4, 6, 4, 8, 1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := c.PutVBS(ctx, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteVBS(ctx, put.Digest); err != nil {
+		t.Fatal(err)
+	}
+	records := func() int {
+		t.Helper()
+		ents, err := os.ReadDir(filepath.Join(dir, "tombstones"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	sweep := func() int64 {
+		t.Helper()
+		j, err := c.StartJob(ctx, "tombstone-sweep", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitTerminal(t, c, j.ID)
+		if done.Status != jobs.StatusDone {
+			t.Fatalf("sweep = %+v, want done", done)
+		}
+		return done.Progress["swept"]
+	}
+	if n := sweep(); n != 0 || records() != 1 {
+		t.Fatalf("sweep inside the TTL reclaimed %d, %d record(s) left; want 0 and 1", n, records())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for sweep() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("expired tombstone never swept")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if n := records(); n != 0 {
+		t.Fatalf("%d tombstone record(s) left after the sweep", n)
+	}
+	if _, err := c.PutVBS(ctx, data, false); err != nil {
+		t.Fatalf("non-forced put after expiry: %v", err)
 	}
 }

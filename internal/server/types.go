@@ -18,6 +18,13 @@ type StartJobRequest struct {
 // aliased into the API package so clients need not import the engine.
 type JobInfo = jobs.Snapshot
 
+// HealthResponse is the body of GET /healthz on vbsd. Instance is the
+// boot instance in the high bits of every task id (see InstanceShift).
+type HealthResponse struct {
+	Status   string `json:"status"`
+	Instance int64  `json:"instance"`
+}
+
 // LoadRequest is the body of POST /tasks.
 type LoadRequest struct {
 	// VBS is the base64 (standard encoding) VBS container.
@@ -159,7 +166,7 @@ type FabricInfo struct {
 	K      int `json:"lut_size"`
 	// Node names the vbsd node owning the fabric (cluster gateway
 	// only; empty on a single daemon). In a merged listing Index is
-	// the fleet-global fabric index.
+	// the fleet fabric id (node boot instance over the local index).
 	Node string `json:"node,omitempty"`
 	controller.Stats
 }

@@ -13,6 +13,9 @@
 #      node, join a fresh empty subprocess under traffic; replicas
 #      must rebalance back to R and a blob deleted mid-rebalance must
 #      stay dead (tombstones honored)
+#   5. vbschaos -recipe gwrestart -short -vbsd: crash and restart the
+#      gateway under traffic; every task id the workload held across
+#      the restart must unload through the new one
 #
 # Each run emits a JSON report and exits non-zero on any invariant
 # violation. Full-length soaks: drop -short, or -recipe all.
@@ -26,7 +29,7 @@ trap 'rm -rf "$work"' EXIT
 echo "== build"
 go build -o "$work/bin/" ./cmd/vbsd ./cmd/vbschaos
 
-for recipe in nodekill corruptblob nodeadd; do
+for recipe in nodekill corruptblob nodeadd gwrestart; do
   echo "== recipe $recipe (3 vbsd subprocesses, replicas=2, short)"
   "$work/bin/vbschaos" -recipe "$recipe" -short \
     -vbsd "$work/bin/vbsd" -work-dir "$work/$recipe" \

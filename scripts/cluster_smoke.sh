@@ -11,7 +11,9 @@
 #   5. download every digest through the gateway, byte-compare
 #      (this read-repairs the imported blob onto its ring owners)
 #   6. scrape /metrics on the gateway and a node (required families
-#      present) and run a reconcile job end-to-end via POST /jobs
+#      present); a task loaded directly on a node is listed by the
+#      gateway under the node's id and unloads through it; run a
+#      rebalance job end-to-end via POST /jobs
 #   7. drive a concurrent load/get/unload mix at the gateway with
 #      vbsload under a strict error budget, then the same mix batched
 #      over POST /tasks:batch at a zero error budget
@@ -143,9 +145,37 @@ for fam in vbs_server_op_duration_seconds_bucket vbs_cache_hits_total vbs_jobs_r
   esac
 done
 
-echo "== reconcile job via POST /jobs runs to done"
-job=$(curl -fsS -XPOST --data '{"kind":"reconcile"}' "http://$gwaddr/jobs")
-job_id=$(printf '%s' "$job" | sed -n 's/.*"id":\([0-9]\+\).*/\1/p')
+echo "== a task loaded directly on a node is listed and unloaded through the gateway"
+direct=$(curl -fsS -XPOST --data-binary "{\"vbs\":\"$(base64 -w0 "$work/task1.vbs")\"}" \
+  "http://${node_addrs[0]}/tasks")
+direct_id=$(printf '%s' "$direct" | sed -n 's/.*"id":\([0-9]\+\).*/\1/p')
+if [ -z "$direct_id" ]; then
+  echo "FAIL: direct node load returned no task id: $direct" >&2
+  exit 1
+fi
+case "$(curl -fsS "http://$gwaddr/tasks")" in
+  *"\"id\":$direct_id,"*"\"node\":\"http://${node_addrs[0]}\""*) ;;
+  *) echo "FAIL: gateway does not list task $direct_id on http://${node_addrs[0]}" >&2; exit 1 ;;
+esac
+code=$(curl -sS -o /dev/null -w '%{http_code}' -XDELETE "http://$gwaddr/tasks/$direct_id")
+if [ "$code" != 204 ]; then
+  echo "FAIL: DELETE /tasks/$direct_id through the gateway answered $code, want 204" >&2
+  exit 1
+fi
+case "$(curl -fsS "http://${node_addrs[0]}/tasks")" in
+  *"\"id\":$direct_id,"*) echo "FAIL: task $direct_id still on its node after the gateway unload" >&2; exit 1 ;;
+esac
+
+echo "== rebalance job via POST /jobs runs to done"
+# The background rebalancer runs its passes as the same exclusive job
+# kind, so a start can collide with one (409): retry briefly.
+job_id=""
+for _ in $(seq 1 50); do
+  job=$(curl -sS -XPOST --data '{"kind":"rebalance"}' "http://$gwaddr/jobs")
+  job_id=$(printf '%s' "$job" | sed -n 's/.*"id":\([0-9]\+\).*/\1/p')
+  if [ -n "$job_id" ]; then break; fi
+  sleep 0.1
+done
 if [ -z "$job_id" ]; then
   echo "FAIL: POST /jobs returned no job id: $job" >&2
   exit 1
@@ -156,13 +186,13 @@ for _ in $(seq 1 100); do
   case "$snap" in
     *'"status":"done"'*) job_done=1; break ;;
     *'"status":"failed"'* | *'"status":"aborted"'*)
-      echo "FAIL: reconcile job did not finish cleanly: $snap" >&2
+      echo "FAIL: rebalance job did not finish cleanly: $snap" >&2
       exit 1 ;;
   esac
   sleep 0.1
 done
 if [ -z "$job_done" ]; then
-  echo "FAIL: reconcile job still running after 10s" >&2
+  echo "FAIL: rebalance job still running after 10s" >&2
   exit 1
 fi
 
